@@ -141,6 +141,7 @@ int run_sweep(double scale) {
     std::string csv = "CSV,ablation2d," + name;
     for (const std::int64_t ct : col_tile_counts) {
       tilq::Config config = base_config(a, threads);
+      config.mode = tilq::Strategy::k2D;
       config.num_col_tiles = ct;
       const tilq::TimingResult result = tilq::bench::measure_with_metrics(
           [&] { (void)tilq::masked_spgemm<SR>(a, a, a, config); }, timing,

@@ -63,8 +63,8 @@ void print_usage() {
       "  --acc dense|hash|bitmap        (default hash)\n"
       "  --marker 8|16|32|64            (default 32)\n"
       "  --reset marker|explicit        (default marker)\n"
-      "  --col-tiles N    2D column tiling (default 1 = 1D)\n"
-      "  --mode 1d|2d|blocked           execution space (default: inferred)\n"
+      "  --col-tiles N    2D column tiling; N > 1 selects --mode 2d (default 1)\n"
+      "  --mode 1d|2d|blocked           execution space (default 1d)\n"
       "  --block-cols N   blocked mode: columns per cache block (default 4096)\n"
       "  --threads N\n"
       "modes:\n"
@@ -162,6 +162,9 @@ std::optional<CliOptions> parse(int argc, char** argv) {
                                              : tilq::ResetPolicy::kMarker;
     } else if (flag == "--col-tiles") {
       options.config.num_col_tiles = std::atoll(next());
+      if (options.config.num_col_tiles > 1) {
+        options.config.mode = tilq::Strategy::k2D;
+      }
     } else if (flag == "--mode") {
       const std::string v = next();
       options.config.mode = v == "blocked" ? tilq::Strategy::kBlocked

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <span>
 
+#include "support/counter_table.hpp"
 #include "support/errors.hpp"
 #include "support/metrics.hpp"  // TILQ_METRICS_ENABLED gate for the counters
 
@@ -73,20 +74,24 @@ enum class MarkerWidth : int {
   return static_cast<int>(width);
 }
 
+/// Accumulator counter table (support/counter_table.hpp): X(name, help).
+#define TILQ_ACCUMULATOR_COUNTERS(X)                                  \
+  X(full_resets, "marker overflows => whole-array resets")            \
+  X(probes, "hash probe steps (collision metric)")                    \
+  X(inserts, "accumulate calls that hit the mask")                    \
+  X(rejects, "accumulate calls outside the mask")                     \
+  X(collisions, "hash insertions needing >=1 probe step")             \
+  X(row_resets, "marker-policy finish_row epoch bumps")               \
+  X(explicit_clears, "slots cleared by explicit resets")              \
+  X(rehashes, "hash grow-and-rehash events (saturation)")
+
 /// Statistics an accumulator optionally reports — used by tests asserting
 /// the overflow/reset trade-off, by the microbenchmarks, and flushed into
 /// the global metrics registry (support/metrics.hpp) by the SpGEMM
 /// drivers. `full_resets` and `probes` are always maintained; the rest are
 /// compiled in only with TILQ_METRICS_ENABLED (docs/METRICS.md).
 struct AccumulatorCounters {
-  std::uint64_t full_resets = 0;     ///< marker overflows => whole-array resets
-  std::uint64_t probes = 0;          ///< hash probe steps (collision metric)
-  std::uint64_t inserts = 0;         ///< accumulate calls that hit the mask
-  std::uint64_t rejects = 0;         ///< accumulate calls outside the mask
-  std::uint64_t collisions = 0;      ///< hash insertions needing >=1 probe step
-  std::uint64_t row_resets = 0;      ///< marker-policy finish_row epoch bumps
-  std::uint64_t explicit_clears = 0; ///< slots cleared by explicit resets
-  std::uint64_t rehashes = 0;        ///< hash grow-and-rehash events (saturation)
+  TILQ_COUNTER_MEMBERS(AccumulatorCounters, TILQ_ACCUMULATOR_COUNTERS)
 };
 
 /// Thrown (CapacityError subtype) when the hash accumulator's probe chains

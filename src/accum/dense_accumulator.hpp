@@ -53,8 +53,10 @@ class DenseAccumulator {
   /// Adds `product` into slot `col` iff the mask allows it. Returns whether
   /// the product hit the mask (Fig 5's "if acc[i,j] is not masked" test —
   /// note the paper's pseudo-code reads "not masked" but means "present in
-  /// the mask").
-  bool accumulate(I col, value_type product) noexcept {
+  /// the mask"). Always inlined: this is the innermost call of every dense
+  /// kernel loop, and GCC otherwise drops the inlining once a translation
+  /// unit reaches its inline-unit-growth budget.
+  [[gnu::always_inline]] bool accumulate(I col, value_type product) noexcept {
     const auto j = static_cast<std::size_t>(col);
     const Marker s = state_[j];
     if (s == touched_tag()) {

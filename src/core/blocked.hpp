@@ -299,15 +299,7 @@ class BlockedWorkspace {
   /// task, exactly as for a single accumulator).
   [[nodiscard]] AccumulatorCounters counters() const noexcept {
     AccumulatorCounters total = dense_.counters();
-    const AccumulatorCounters& s = sparse_.counters();
-    total.full_resets += s.full_resets;
-    total.probes += s.probes;
-    total.inserts += s.inserts;
-    total.rejects += s.rejects;
-    total.collisions += s.collisions;
-    total.row_resets += s.row_resets;
-    total.explicit_clears += s.explicit_clears;
-    total.rehashes += s.rehashes;
+    total += sparse_.counters();
     return total;
   }
 

@@ -17,8 +17,8 @@
 namespace tilq {
 
 /// Execution-space strategy: how plan() decomposes the iteration space.
-/// One Config field replaces the former Config2d type — a third strategy
-/// cannot ship as yet another config-type-and-entry-point pair.
+/// One Config field selects it, so a new strategy ships as an enumerator,
+/// not as another config-type-and-entry-point pair.
 enum class Strategy {
   k1D,       ///< row tiles over the full column range (the reference path)
   k2D,       ///< row × column tile grid walking global CSR
@@ -46,14 +46,12 @@ struct Config {
   std::int64_t num_tiles = 0;
 
   // Execution-space strategy (docs/ARCHITECTURE.md).
-  /// Strategy::k2D with num_col_tiles <= 1 degenerates to the 1D
-  /// algorithm, and — for one deprecation cycle of the former Config2d —
-  /// num_col_tiles > 1 under the default mode still selects 2D;
-  /// effective_strategy() resolves both. The vanilla mask strategy is
+  /// The only execution-space selector. The vanilla mask strategy is
   /// rejected for 2D and blocked plans (its unmasked merge phase has no
   /// column-restricted formulation that preserves its semantics).
   Strategy mode = Strategy::k1D;
-  /// Column tile count for Strategy::k2D.
+  /// Column tile count for Strategy::k2D; plan() rejects values > 1 under
+  /// any other mode instead of silently switching the execution space.
   std::int64_t num_col_tiles = 1;
   /// Column-block width for Strategy::kBlocked; 0 picks the auto width
   /// (kDefaultBlockCols, clamped to kMaxColumnBlocks blocks).
@@ -87,16 +85,6 @@ struct Config {
 
   [[nodiscard]] bool operator==(const Config&) const = default;
 
-  /// The strategy this config actually selects: blocked when mode says
-  /// so, 2D whenever more than one column tile is requested (the former
-  /// Config2d contract), 1D otherwise.
-  [[nodiscard]] Strategy effective_strategy() const noexcept {
-    if (mode == Strategy::kBlocked) {
-      return Strategy::kBlocked;
-    }
-    return num_col_tiles > 1 ? Strategy::k2D : Strategy::k1D;
-  }
-
   [[nodiscard]] std::string describe() const {
     std::string out;
     out += "strategy=";
@@ -119,7 +107,7 @@ struct Config {
     }
     // Strategy tokens only when the config leaves the 1D default, so 1D
     // bench config strings stay comparable across versions.
-    switch (effective_strategy()) {
+    switch (mode) {
       case Strategy::k1D:
         break;
       case Strategy::k2D:
@@ -136,15 +124,6 @@ struct Config {
     return out;
   }
 };
-
-/// Deprecated alias, kept for one release cycle: the former 2D config
-/// type collapsed into Config, whose Strategy field (`mode`, plus
-/// `num_col_tiles` / `block_cols`) selects the execution space. Migrate
-/// `Config2d{base, n}` to a Config with `num_col_tiles = n` (see
-/// docs/API.md for the table).
-using Config2d [[deprecated(
-    "Config2d is now Config: select the execution space via "
-    "Config::mode / num_col_tiles / block_cols")]] = Config;
 
 /// One thread's share of a driver's compute phase — the measured side of
 /// the load-imbalance story (the model's predicted CV lives in

@@ -1193,9 +1193,10 @@ class Engine {
         Acc& acc = pool->acquire(worker, cap,
                                  [&] { return factory(e.plan, e.config); },
                                  cap * (sizeof(T) + sizeof(I)));
-#if TILQ_METRICS_ENABLED
-        const AccumulatorCounters counters_at_entry = acc.counters();
-#endif
+        // Runtime-disabled metrics skip every accounting step below.
+        MetricCounters* const tc = metrics_thread_counters();
+        const AccumulatorCounters at_entry =
+            tc != nullptr ? acc.counters() : AccumulatorCounters{};
         // Per-task fallback (vs per-thread in the OpenMP driver): degraded
         // tasks are rare and a fresh dense target is equally bit-identical.
         std::optional<typename detail::FallbackAccumulator<Acc>::type>
@@ -1206,37 +1207,13 @@ class Engine {
                                       *job.buffers);
         job.rows.fetch_add(tile.rows, std::memory_order_relaxed);
         job.degrades.fetch_add(tile.degrades, std::memory_order_relaxed);
-#if TILQ_METRICS_ENABLED
-        if (MetricCounters* const tc = metrics_thread_counters()) {
-          const AccumulatorCounters d =
-              detail::counters_delta(acc.counters(), counters_at_entry);
-          ++tc->tiles_executed;
-          tc->rows_processed += static_cast<std::uint64_t>(tile.rows);
-          tc->busy_ns +=
-              static_cast<std::uint64_t>(busy.milliseconds() * 1e6);
-          tc->hash_probes += d.probes;
-          tc->hash_collisions += d.collisions;
-          tc->accum_inserts += d.inserts;
-          tc->accum_rejects += d.rejects;
-          tc->marker_row_resets += d.row_resets;
-          tc->marker_overflow_resets += d.full_resets;
-          tc->explicit_reset_slots += d.explicit_clears;
-          tc->accum_rehashes += d.rehashes;
-          tc->accum_degrades += tile.degrades;
-          if constexpr (detail::FallbackAccumulator<Acc>::available) {
-            if (fallback.has_value()) {
-              const AccumulatorCounters& f = fallback->counters();
-              tc->hash_probes += f.probes;
-              tc->hash_collisions += f.collisions;
-              tc->accum_inserts += f.inserts;
-              tc->accum_rejects += f.rejects;
-              tc->marker_row_resets += f.row_resets;
-              tc->marker_overflow_resets += f.full_resets;
-              tc->explicit_reset_slots += f.explicit_clears;
-            }
-          }
+        if (tc != nullptr) {
+          detail::TaskAccounting accounting;
+          accounting.add(tile);
+          accounting.busy_ms = busy.milliseconds();
+          accounting.settle(acc, at_entry, fallback);
+          accounting.flush(*tc);
         }
-#endif
       });
     };
   }
@@ -1478,7 +1455,7 @@ class Engine {
     if (config.accumulator == AccumulatorKind::kDense) {
       config.accumulator = AccumulatorKind::kHash;
     }
-    if (config.effective_strategy() == Strategy::kBlocked &&
+    if (config.mode == Strategy::kBlocked &&
         config.block_cols > 512) {
       config.block_cols /= 2;
     }

@@ -23,9 +23,8 @@
 // unchanged, and pooled accumulators gather in mask order, so their reuse
 // (continued marker epochs, retained hash capacity) cannot reorder sums.
 //
-// masked_spgemm / masked_spgemm_2d are thin wrappers over this machinery
-// (plan once, execute once); see docs/API.md for the lifecycle and the
-// migration table.
+// masked_spgemm is a thin wrapper over this machinery (plan once, execute
+// once); see docs/API.md for the lifecycle and the migration table.
 #pragma once
 
 #include <omp.h>
@@ -246,9 +245,10 @@ template <class T, class I>
   require(a.cols() == b.rows(), "plan: inner dimensions must agree");
   require(mask.rows() == a.rows() && mask.cols() == b.cols(),
           "plan: mask shape must equal output shape");
-  const Strategy space = config.effective_strategy();
-  const bool two_d = space == Strategy::k2D;
-  const bool blocked = space == Strategy::kBlocked;
+  require(config.num_col_tiles <= 1 || config.mode == Strategy::k2D,
+          "plan: num_col_tiles > 1 requires mode = Strategy::k2D");
+  const bool two_d = config.mode == Strategy::k2D;
+  const bool blocked = config.mode == Strategy::kBlocked;
   require(!((two_d || blocked) && config.strategy == MaskStrategy::kVanilla),
           "plan: the vanilla strategy has no column-tiled (2D/blocked) "
           "formulation");
@@ -383,23 +383,6 @@ inline void finalize_thread_work(std::vector<ThreadWork>&& work,
   stats->thread_work = std::move(work);
 }
 
-/// Per-execute delta of the accumulator counters: pooled accumulators keep
-/// counting across executes, so each call reports counters() minus the
-/// snapshot taken right after acquire().
-inline AccumulatorCounters counters_delta(const AccumulatorCounters& after,
-                                          const AccumulatorCounters& before) {
-  AccumulatorCounters d;
-  d.full_resets = after.full_resets - before.full_resets;
-  d.probes = after.probes - before.probes;
-  d.inserts = after.inserts - before.inserts;
-  d.rejects = after.rejects - before.rejects;
-  d.collisions = after.collisions - before.collisions;
-  d.row_resets = after.row_resets - before.row_resets;
-  d.explicit_clears = after.explicit_clears - before.explicit_clears;
-  d.rehashes = after.rehashes - before.rehashes;
-  return d;
-}
-
 /// Degradation target when an accumulator saturates: the hash accumulator
 /// escalates the offending row/cell to a dense accumulator with the same
 /// marker type (identical accumulate-and-gather order => bit-identical
@@ -420,6 +403,77 @@ struct FallbackAccumulator<HashAccumulator<SR, I, Marker>> {
 struct TileTaskStats {
   std::int64_t rows = 0;       ///< row visits performed by this task
   std::uint64_t degrades = 0;  ///< rows/cells replayed on the dense fallback
+};
+
+/// The one accounting path for tile work, shared by the OpenMP driver (one
+/// instance per thread, covering its share of the region) and the batch
+/// engine (one per pool task). Four steps: add() each task's stats,
+/// settle() the accumulator events as the delta from the entry snapshot
+/// (pooled accumulators keep counting across executes) plus the dense
+/// fallback's counters (built fresh, so no snapshot), flush() into the
+/// thread's metrics slot, and write() a team sum into ExecutionStats.
+struct TaskAccounting {
+  AccumulatorCounters events;   ///< accumulator events since entry
+  std::uint64_t degrades = 0;   ///< rows/cells replayed on the dense fallback
+  std::int64_t tiles = 0;       ///< tile tasks run
+  std::int64_t rows = 0;        ///< row visits performed
+  double busy_ms = 0.0;         ///< wall time spent running the tasks
+
+  void add(const TileTaskStats& tile) noexcept {
+    ++tiles;
+    rows += tile.rows;
+    degrades += tile.degrades;
+  }
+
+  template <class Acc>
+  void settle(
+      const Acc& acc, const AccumulatorCounters& at_entry,
+      const std::optional<typename FallbackAccumulator<Acc>::type>& fallback)
+      noexcept {
+    events += acc.counters().minus(at_entry);
+    if constexpr (FallbackAccumulator<Acc>::available) {
+      if (fallback.has_value()) {
+        events += fallback->counters();
+      }
+    }
+  }
+
+  void flush(MetricCounters& m) const noexcept {
+    m.tiles_executed += static_cast<std::uint64_t>(tiles);
+    m.rows_processed += static_cast<std::uint64_t>(rows);
+    m.busy_ns += static_cast<std::uint64_t>(busy_ms * 1e6);
+    m.hash_probes += events.probes;
+    m.hash_collisions += events.collisions;
+    m.accum_inserts += events.inserts;
+    m.accum_rejects += events.rejects;
+    m.marker_row_resets += events.row_resets;
+    m.marker_overflow_resets += events.full_resets;
+    m.explicit_reset_slots += events.explicit_clears;
+    m.accum_rehashes += events.rehashes;
+    m.accum_degrades += degrades;
+  }
+
+  TaskAccounting& operator+=(const TaskAccounting& o) noexcept {
+    events += o.events;
+    degrades += o.degrades;
+    tiles += o.tiles;
+    rows += o.rows;
+    busy_ms += o.busy_ms;
+    return *this;
+  }
+
+  void write(ExecutionStats& stats) const noexcept {
+    stats.accumulator_full_resets = events.full_resets;
+    stats.hash_probes = events.probes;
+    stats.accum_inserts = events.inserts;
+    stats.accum_rejects = events.rejects;
+    stats.hash_collisions = events.collisions;
+    stats.marker_row_resets = events.row_resets;
+    stats.explicit_reset_slots = events.explicit_clears;
+    stats.accum_rehashes = events.rehashes;
+    stats.accum_degrades = degrades;
+    stats.degraded = degrades > 0;
+  }
 };
 
 /// One (row tile x column block) task of the blocked driver. The per-tile
@@ -753,36 +807,24 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
   const auto task_count = static_cast<std::int64_t>(
       plan.row_tiles.size() * ((two_d || blocked) ? col_tile_count : 1));
 
-  std::uint64_t total_resets = 0;
-  std::uint64_t total_probes = 0;
-  std::uint64_t total_inserts = 0;
-  std::uint64_t total_rejects = 0;
-  std::uint64_t total_collisions = 0;
-  std::uint64_t total_row_resets = 0;
-  std::uint64_t total_explicit_clears = 0;
-  std::uint64_t total_rehashes = 0;
-  std::uint64_t total_degrades = 0;
-
-  // Per-thread compute shares, indexed by OpenMP thread number; the
-  // measured load-imbalance signal next to the model's predicted CV.
+  // Per-thread compute shares, indexed by OpenMP thread number and each
+  // written once at region end: the measured load-imbalance signal next to
+  // the model's predicted CV, and the accounting the stats sum.
   std::vector<ThreadWork> thread_work(static_cast<std::size_t>(threads));
+  std::vector<TaskAccounting> accounting(static_cast<std::size_t>(threads));
   int team_size = threads;
 
   // First worker exception is captured here and rethrown after the join;
   // remaining tiles become no-ops. No exception may cross the region
   // boundary (that would be std::terminate under OpenMP).
   ParallelGuard guard;
-  using Fallback = FallbackAccumulator<Acc>;
 
   {
     TraceSpan compute_span(blocked ? "spgemmblk.compute"
                                    : (two_d ? "spgemm2d.compute"
                                             : "spgemm.compute"));
 
-#pragma omp parallel num_threads(threads)                                  \
-    reduction(+ : total_resets, total_probes, total_inserts, total_rejects, \
-                  total_collisions, total_row_resets, total_explicit_clears, \
-                  total_rehashes, total_degrades)
+#pragma omp parallel num_threads(threads)
     {
       const int thread_num = omp_get_thread_num();
 #pragma omp single
@@ -793,24 +835,20 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
       // same constructs), so failure leaves `acc` null and the loop bodies
       // become no-ops instead of the thread bailing out of the region.
       Acc* acc = nullptr;
-      AccumulatorCounters counters_at_entry;
+      AccumulatorCounters at_entry;
       guard.run([&] {
         acc = &pool.acquire(thread_num, capability, make);
-        counters_at_entry = acc->counters();
+        at_entry = acc->counters();
       });
       // Saturated rows/cells re-run on a dense fallback with the same
       // marker type, built lazily on first degrade (most executes never
       // touch it).
-      std::optional<typename Fallback::type> fallback;
-#if TILQ_METRICS_ENABLED
+      std::optional<typename FallbackAccumulator<Acc>::type> fallback;
       MetricCounters* const thread_counters = metrics_thread_counters();
       // Hardware counters for this thread's share of the region; inactive
       // (zero-cost) when metrics are off or perf_event_open failed.
       const PerfScope perf_scope(thread_counters != nullptr);
-#endif
-      std::int64_t my_tiles = 0;
-      std::int64_t my_rows = 0;
-      std::uint64_t my_degrades = 0;
+      TaskAccounting mine;
       WallTimer busy;
 
 #pragma omp for schedule(runtime) nowait
@@ -819,83 +857,36 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
           continue;  // cooperative cancellation: skip the body, not the loop
         }
         guard.run([&] {
-          const TileTaskStats tile = run_tile_task<SR>(
-              plan, config, mask, a, b, task, *acc, fallback, buffers);
-          ++my_tiles;
-          my_rows += tile.rows;
-          my_degrades += tile.degrades;
+          mine.add(run_tile_task<SR>(plan, config, mask, a, b, task, *acc,
+                                     fallback, buffers));
         });
       }
-      const double busy_ms = busy.milliseconds();
-      if (thread_num >= 0 && thread_num < threads) {
-        thread_work[static_cast<std::size_t>(thread_num)] = {
-            thread_num, busy_ms, my_tiles, my_rows};
-      }
-
-      AccumulatorCounters acc_counters;
+      mine.busy_ms = busy.milliseconds();
       if (acc != nullptr) {
-        acc_counters = counters_delta(acc->counters(), counters_at_entry);
+        mine.settle(*acc, at_entry, fallback);
       }
-      if constexpr (Fallback::available) {
-        // The fallback is built fresh each execute, so its counters need no
-        // entry snapshot; fold them so degraded rows stay observable.
-        if (fallback.has_value()) {
-          const AccumulatorCounters& f = fallback->counters();
-          acc_counters.full_resets += f.full_resets;
-          acc_counters.probes += f.probes;
-          acc_counters.inserts += f.inserts;
-          acc_counters.rejects += f.rejects;
-          acc_counters.collisions += f.collisions;
-          acc_counters.row_resets += f.row_resets;
-          acc_counters.explicit_clears += f.explicit_clears;
-        }
-      }
-      total_resets += acc_counters.full_resets;
-      total_probes += acc_counters.probes;
-      total_inserts += acc_counters.inserts;
-      total_rejects += acc_counters.rejects;
-      total_collisions += acc_counters.collisions;
-      total_row_resets += acc_counters.row_resets;
-      total_explicit_clears += acc_counters.explicit_clears;
-      total_rehashes += acc_counters.rehashes;
-      total_degrades += my_degrades;
-#if TILQ_METRICS_ENABLED
-      // Per-accumulator counters fold into the owning thread's global slot
-      // so the metrics registry sees the same totals as ExecutionStats.
       if (thread_counters != nullptr) {
-        thread_counters->tiles_executed += static_cast<std::uint64_t>(my_tiles);
-        thread_counters->rows_processed += static_cast<std::uint64_t>(my_rows);
-        thread_counters->busy_ns += static_cast<std::uint64_t>(busy_ms * 1e6);
-        thread_counters->hash_probes += acc_counters.probes;
-        thread_counters->hash_collisions += acc_counters.collisions;
-        thread_counters->accum_inserts += acc_counters.inserts;
-        thread_counters->accum_rejects += acc_counters.rejects;
-        thread_counters->marker_row_resets += acc_counters.row_resets;
-        thread_counters->marker_overflow_resets += acc_counters.full_resets;
-        thread_counters->explicit_reset_slots += acc_counters.explicit_clears;
-        thread_counters->accum_rehashes += acc_counters.rehashes;
-        thread_counters->accum_degrades += my_degrades;
+        mine.flush(*thread_counters);
         if (HwCounters* const hw = metrics_thread_hw()) {
           *hw += perf_scope.delta();
         }
       }
-#endif
+      if (thread_num >= 0 && thread_num < threads) {
+        const auto slot = static_cast<std::size_t>(thread_num);
+        thread_work[slot] = {thread_num, mine.busy_ms, mine.tiles, mine.rows};
+        accounting[slot] = mine;
+      }
     }
   }
   guard.rethrow_if_failed();
   if (stats != nullptr) {
+    TaskAccounting team;
+    for (const TaskAccounting& t : accounting) {
+      team += t;
+    }
     stats->compute_ms = phase.milliseconds();
     stats->tiles = task_count;
-    stats->accumulator_full_resets = total_resets;
-    stats->hash_probes = total_probes;
-    stats->accum_inserts = total_inserts;
-    stats->accum_rejects = total_rejects;
-    stats->hash_collisions = total_collisions;
-    stats->marker_row_resets = total_row_resets;
-    stats->explicit_reset_slots = total_explicit_clears;
-    stats->accum_rehashes = total_rehashes;
-    stats->accum_degrades = total_degrades;
-    stats->degraded = total_degrades > 0;
+    team.write(*stats);
   }
   finalize_thread_work(std::move(thread_work), team_size, stats);
 
@@ -923,8 +914,7 @@ template <Semiring SR, class T = typename SR::value_type,
           class I = std::int64_t>
 class Executor {
  public:
-  /// Structure phase. Config::effective_strategy() selects the 1D, 2D, or
-  /// blocked driver.
+  /// Structure phase. Config::mode selects the 1D, 2D, or blocked driver.
   void plan(const Csr<T, I>& mask, const Csr<T, I>& a, const Csr<T, I>& b,
             const Config& config = {}) {
     static_assert(std::is_same_v<T, typename SR::value_type>,

@@ -12,8 +12,9 @@
 // kSubBuckets geometric sub-buckets per power of two of nanoseconds.
 // With 4 sub-buckets a bucket spans at most 1/4 of its octave, so a
 // reported quantile (the upper edge of the bucket holding the target
-// rank) is within +25% of the true sample — tests/latency_test.cpp pins
-// this bound against a sorted-vector oracle. 42 octaves cover ~1 ns to
+// rank, clamped to the recorded max) is within +25% of the true sample
+// and never above the largest one — tests/latency_test.cpp pins both
+// bounds against a sorted-vector oracle. 42 octaves cover ~1 ns to
 // ~73 minutes; anything beyond saturates into the last bucket.
 //
 // Thread-safety: record_ns()/record_ms() are wait-free relaxed atomic
@@ -23,6 +24,7 @@
 // atomic; cross-bucket skew only perturbs ranks by in-flight samples).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -89,13 +91,15 @@ class LatencyHistogram {
   }
 
   /// The q-quantile (q in [0, 1]) as the upper edge of the bucket holding
-  /// the nearest-rank sample: never below the true sample, at most +25%
-  /// above it (the kSubBuckets bound). 0 when the histogram is empty.
+  /// the nearest-rank sample, clamped to the recorded max: never below the
+  /// true sample, at most +25% above it (the kSubBuckets bound), and never
+  /// above anything observed. 0 when the histogram is empty.
   [[nodiscard]] double quantile_ms(double q) const noexcept {
     const std::uint64_t n = count();
     if (n == 0) {
       return 0.0;
     }
+    const std::uint64_t max_ns = max_ns_.load(std::memory_order_relaxed);
     const double scaled = q * static_cast<double>(n);
     std::uint64_t rank = static_cast<std::uint64_t>(scaled);
     if (static_cast<double>(rank) < scaled) {
@@ -107,10 +111,11 @@ class LatencyHistogram {
       cumulative +=
           counts_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
       if (cumulative >= rank) {
-        return static_cast<double>(bucket_upper_ns(i)) / 1e6;
+        return static_cast<double>(std::min(bucket_upper_ns(i), max_ns)) /
+               1e6;
       }
     }
-    return static_cast<double>(max_ns_.load(std::memory_order_relaxed)) / 1e6;
+    return static_cast<double>(max_ns) / 1e6;
   }
 
   [[nodiscard]] double max_ms() const noexcept {
@@ -230,8 +235,9 @@ class LatencyHistogram {
            (octave - kFirstSplitOctave) * kSubBuckets + sub;
   }
 
-  /// Inclusive upper edge of a bucket — what quantile_ms() reports, so
-  /// quantiles err high (conservative for SLO checks), never low.
+  /// Inclusive upper edge of a bucket — what quantile_ms() reports up to
+  /// the recorded max, so quantiles err high (conservative for SLO
+  /// checks), never low.
   [[nodiscard]] static constexpr std::uint64_t bucket_upper_ns(
       int index) noexcept {
     constexpr int kUnitBuckets = (1 << kFirstSplitOctave) - 1;

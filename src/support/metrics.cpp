@@ -72,53 +72,16 @@ std::string json_escape(const std::string& in) {
   return out;
 }
 
+/// One `"name":value` pair per counter-table row, opened by '{'.
+#define TILQ_JSON_COUNTER(name, help) \
+  out += sep;                         \
+  sep = ',';                          \
+  out += "\"" #name "\":";            \
+  out += std::to_string(c.name);
+
 void append_counters_json(std::string& out, const MetricCounters& c) {
-  const auto field = [&](const char* name, std::uint64_t value, bool last = false) {
-    out += '"';
-    out += name;
-    out += "\":";
-    out += std::to_string(value);
-    if (!last) {
-      out += ',';
-    }
-  };
-  out += '{';
-  field("flops", c.flops);
-  field("accum_inserts", c.accum_inserts);
-  field("accum_rejects", c.accum_rejects);
-  field("hash_probes", c.hash_probes);
-  field("hash_collisions", c.hash_collisions);
-  field("marker_row_resets", c.marker_row_resets);
-  field("marker_overflow_resets", c.marker_overflow_resets);
-  field("explicit_reset_slots", c.explicit_reset_slots);
-  field("accum_rehashes", c.accum_rehashes);
-  field("accum_degrades", c.accum_degrades);
-  field("binary_search_steps", c.binary_search_steps);
-  field("hybrid_coiter_picks", c.hybrid_coiter_picks);
-  field("hybrid_linear_picks", c.hybrid_linear_picks);
-  field("blocked_dense_picks", c.blocked_dense_picks);
-  field("blocked_sparse_picks", c.blocked_sparse_picks);
-  field("tiles_created", c.tiles_created);
-  field("tiles_executed", c.tiles_executed);
-  field("rows_processed", c.rows_processed);
-  field("busy_ns", c.busy_ns);
-  field("engine_jobs", c.engine_jobs);
-  field("engine_job_ns", c.engine_job_ns);
-  field("engine_queue_ns", c.engine_queue_ns);
-  field("engine_queue_depth", c.engine_queue_depth);
-  field("engine_tasks", c.engine_tasks);
-  field("engine_steals", c.engine_steals);
-  field("engine_jobs_shed", c.engine_jobs_shed);
-  field("engine_jobs_deferred", c.engine_jobs_deferred);
-  field("engine_jobs_expensive", c.engine_jobs_expensive);
-  field("engine_deadline_misses", c.engine_deadline_misses);
-  field("engine_jobs_stuck", c.engine_jobs_stuck);
-  field("engine_retries", c.engine_retries);
-  field("engine_brownouts", c.engine_brownouts);
-  field("engine_telemetry_samples", c.engine_telemetry_samples);
-  field("autotune_explorations", c.autotune_explorations);
-  field("autotune_arm_switches", c.autotune_arm_switches);
-  field("autotune_converged", c.autotune_converged, /*last=*/true);
+  char sep = '{';
+  TILQ_METRIC_COUNTERS(TILQ_JSON_COUNTER)
   out += '}';
 }
 
@@ -129,34 +92,18 @@ void append_double(std::string& out, double value) {
 }
 
 /// The `hw` record object; "null" when no hardware data was collected.
-/// Field names mirror HwCounters (support/perf.hpp) one-to-one, which is
-/// what tools/check_metrics_docs.py cross-checks against docs/METRICS.md.
-void append_hw_json(std::string& out, const HwCounters& hw) {
-  if (hw.all_zero()) {
+void append_hw_json(std::string& out, const HwCounters& c) {
+  if (c.all_zero()) {
     out += "null";
     return;
   }
-  const auto field = [&](const char* name, std::uint64_t value,
-                         bool last = false) {
-    out += '"';
-    out += name;
-    out += "\":";
-    out += std::to_string(value);
-    if (!last) {
-      out += ',';
-    }
-  };
-  out += '{';
-  field("cycles", hw.cycles);
-  field("instructions", hw.instructions);
-  field("llc_loads", hw.llc_loads);
-  field("llc_misses", hw.llc_misses);
-  field("branch_misses", hw.branch_misses);
-  field("stalled_cycles", hw.stalled_cycles, /*last=*/true);
+  char sep = '{';
+  TILQ_HW_COUNTERS(TILQ_JSON_COUNTER)
   out += '}';
 }
+#undef TILQ_JSON_COUNTER
 
-/// The `imbalance` record object, derived from the per-thread busy_ns
+/// The `imbalance` record object, derived from the per-thread busy-time
 /// deltas; "null" when no thread reported busy time (e.g. records emitted
 /// around code that never entered a driver compute phase). Field names
 /// here are what tools/check_metrics_docs.py scrapes for the doc check.
@@ -167,10 +114,10 @@ void append_imbalance_json(std::string& out,
   double sum_sq = 0.0;
   int busy_threads = 0;
   for (const ThreadMetrics& t : threads) {
-    if (t.counters.busy_ns == 0) {
+    const double ms = static_cast<double>(t.counters.busy_ns) / 1e6;
+    if (ms == 0.0) {
       continue;
     }
-    const double ms = static_cast<double>(t.counters.busy_ns) / 1e6;
     max_ms = std::max(max_ms, ms);
     sum_ms += ms;
     sum_sq += ms * ms;

@@ -34,6 +34,7 @@
 #define TILQ_METRICS_ENABLED 1
 #endif
 
+#include "support/counter_table.hpp"
 #include "support/perf.hpp"  // HwCounters ride along with the thread slots
 
 namespace tilq {
@@ -41,173 +42,66 @@ namespace tilq {
 /// Version of the metrics schema (counter set + JSON-lines layout). Bump
 /// when a counter is renamed/removed or the record layout changes; adding
 /// a counter is backward compatible and does not bump the version.
-/// v2: added the `hw` (hardware counters, nullable) and `imbalance`
-/// (per-thread busy-time statistics, nullable) record objects and the
-/// `busy_ns` counter.
-/// v3: added the batch-engine job/queue/steal counters (`engine_jobs`,
-/// `engine_job_ns`, `engine_queue_ns`, `engine_queue_depth`,
-/// `engine_tasks`, `engine_steals`) — see docs/CONCURRENCY.md. Later
-/// extended, compatibly, with the serving counters (`engine_jobs_shed`,
-/// `engine_jobs_deferred`, `engine_jobs_expensive`,
-/// `engine_deadline_misses`) and the nullable `engine_latency` record
-/// object (docs/SERVING.md), then with the telemetry counters
-/// (`engine_jobs_stuck`, `engine_telemetry_samples` — docs/TELEMETRY.md),
-/// then with the resilience counters (`engine_retries`,
-/// `engine_brownouts` — docs/ROBUSTNESS.md), then with the online-tuning
-/// counters (`autotune_explorations`, `autotune_arm_switches`,
-/// `autotune_converged` — docs/TUNING.md).
+/// v2: added the nullable `hw` and `imbalance` record objects and the
+/// busy-time counter. v3: added the batch-engine counters
+/// (docs/CONCURRENCY.md), later extended compatibly with the serving
+/// counters and the nullable `engine_latency` object (docs/SERVING.md),
+/// the telemetry, resilience and online-tuning counters
+/// (docs/TELEMETRY.md, docs/ROBUSTNESS.md, docs/TUNING.md).
 inline constexpr int kMetricsSchemaVersion = 3;
 
 /// True when the counter hooks are compiled into this build (CMake option
 /// TILQ_METRICS). When false every function below is an inline no-op.
 inline constexpr bool kMetricsCompiled = TILQ_METRICS_ENABLED != 0;
 
+/// The counter table: one X(name, help) row per MetricCounters field, in
+/// record order, with `help` the Prometheus HELP text. The struct fields,
+/// their arithmetic, the JSON record (`counters` object), the Prometheus
+/// exporter (`tilq_<name>` series) and the doc lint
+/// (tools/check_metrics_docs.py) all expand from these rows, so adding a
+/// counter is one line here plus its docs/METRICS.md row.
+#define TILQ_METRIC_COUNTERS(X)                                                \
+  X(flops, "semiring multiplications performed")                               \
+  X(accum_inserts, "accumulator inserts inside the mask")                      \
+  X(accum_rejects, "accumulator probes outside the mask")                      \
+  X(hash_probes, "hash probe-chain steps past the home slot")                  \
+  X(hash_collisions, "hash insertions that needed chain steps")                \
+  X(marker_row_resets, "marker-policy per-row epoch bumps")                    \
+  X(marker_overflow_resets, "whole-state clears on marker overflow")           \
+  X(explicit_reset_slots, "slots cleared by explicit resets")                  \
+  X(accum_rehashes, "hash grow-and-rehash saturation responses")               \
+  X(accum_degrades, "rows escalated to the dense fallback")                    \
+  X(binary_search_steps, "halving steps in co-iteration searches")             \
+  X(hybrid_coiter_picks, "pairs where hybrid chose co-iteration")              \
+  X(hybrid_linear_picks, "pairs where hybrid chose linear scan")               \
+  X(blocked_dense_picks, "blocked tile tasks run on the dense accumulator")    \
+  X(blocked_sparse_picks, "blocked tile tasks run on the sparse accumulator")  \
+  X(tiles_created, "tiles produced by the tilers")                             \
+  X(tiles_executed, "tiles processed in compute phases")                       \
+  X(rows_processed, "output rows computed")                                    \
+  X(busy_ns, "compute-loop busy wall time in nanoseconds")                     \
+  X(engine_jobs, "batch-engine jobs completed")                                \
+  X(engine_job_ns, "total submit-to-done job latency in nanoseconds")          \
+  X(engine_queue_ns, "total submit-to-first-task wait in nanoseconds")         \
+  X(engine_queue_depth, "in-flight jobs summed over submits")                  \
+  X(engine_tasks, "tile tasks run on engine pool workers")                     \
+  X(engine_steals, "engine tasks taken from another worker")                   \
+  X(engine_jobs_shed, "expensive jobs refused at the shed bound")              \
+  X(engine_jobs_deferred, "expensive jobs demoted to the background lane")     \
+  X(engine_jobs_expensive, "admitted jobs the cost model priced expensive")    \
+  X(engine_deadline_misses, "jobs cancelled past their deadline")              \
+  X(engine_jobs_stuck, "in-flight jobs flagged by the watchdog")               \
+  X(engine_retries, "retry attempts (auto-replan and degraded-config)")        \
+  X(engine_brownouts, "memory-governor transitions into brownout")             \
+  X(engine_telemetry_samples, "telemetry sampler ticks taken")                 \
+  X(autotune_explorations, "bandit draws that served a non-best arm")          \
+  X(autotune_arm_switches, "fingerprints whose best arm changed")              \
+  X(autotune_converged, "fingerprints frozen onto their best arm")
+
 /// The full counter set. One instance per thread; aggregate via
-/// metrics_snapshot(). Every field is documented in docs/METRICS.md and
-/// the doc-lint (tools/check_metrics_docs.py) keeps the two in sync.
+/// metrics_snapshot(). Every field is documented in docs/METRICS.md.
 struct MetricCounters {
-  std::uint64_t flops = 0;                  ///< semiring multiplications performed
-  std::uint64_t accum_inserts = 0;          ///< accumulate() calls that hit the mask
-  std::uint64_t accum_rejects = 0;          ///< accumulate() calls outside the mask
-  std::uint64_t hash_probes = 0;            ///< hash probe-chain steps past the home slot
-  std::uint64_t hash_collisions = 0;        ///< hash insertions that needed >=1 chain step
-  std::uint64_t marker_row_resets = 0;      ///< finish_row() epoch bumps (marker policy)
-  std::uint64_t marker_overflow_resets = 0; ///< whole-state clears on marker overflow
-  std::uint64_t explicit_reset_slots = 0;   ///< slots cleared by explicit (GrB) resets
-  std::uint64_t accum_rehashes = 0;         ///< hash grow-and-rehash saturation responses
-  std::uint64_t accum_degrades = 0;         ///< rows/cells escalated to the dense fallback
-  std::uint64_t binary_search_steps = 0;    ///< halving steps in co-iteration searches
-  std::uint64_t hybrid_coiter_picks = 0;    ///< (i,k) pairs where hybrid chose co-iteration
-  std::uint64_t hybrid_linear_picks = 0;    ///< (i,k) pairs where hybrid chose linear scan
-  std::uint64_t blocked_dense_picks = 0;    ///< blocked tile tasks run on the dense accumulator
-  std::uint64_t blocked_sparse_picks = 0;   ///< blocked tile tasks run on the sparse accumulator
-  std::uint64_t tiles_created = 0;          ///< tiles produced by the tilers
-  std::uint64_t tiles_executed = 0;         ///< tiles processed in compute phases
-  std::uint64_t rows_processed = 0;         ///< output rows computed
-  std::uint64_t busy_ns = 0;                ///< compute-loop busy wall time (ns)
-  std::uint64_t engine_jobs = 0;            ///< batch-engine jobs completed
-  std::uint64_t engine_job_ns = 0;          ///< total submit-to-done job latency (ns)
-  std::uint64_t engine_queue_ns = 0;        ///< total submit-to-first-task wait (ns)
-  std::uint64_t engine_queue_depth = 0;     ///< in-flight jobs summed over submits
-  std::uint64_t engine_tasks = 0;           ///< tile tasks run on engine pool workers
-  std::uint64_t engine_steals = 0;          ///< engine tasks taken from another worker's queue
-  std::uint64_t engine_jobs_shed = 0;       ///< expensive jobs refused at the shed bound
-  std::uint64_t engine_jobs_deferred = 0;   ///< expensive jobs demoted to the background lane
-  std::uint64_t engine_jobs_expensive = 0;  ///< admitted jobs the cost model priced expensive
-  std::uint64_t engine_deadline_misses = 0; ///< jobs cancelled past their submit() deadline
-  std::uint64_t engine_jobs_stuck = 0;      ///< in-flight jobs flagged by the telemetry watchdog
-  std::uint64_t engine_retries = 0;         ///< retry attempts (auto-replan + degraded-config)
-  std::uint64_t engine_brownouts = 0;       ///< memory-governor transitions into brownout
-  std::uint64_t engine_telemetry_samples = 0; ///< telemetry sampler ticks taken
-  std::uint64_t autotune_explorations = 0;  ///< bandit draws that served a non-best arm
-  std::uint64_t autotune_arm_switches = 0;  ///< fingerprints whose best arm changed
-  std::uint64_t autotune_converged = 0;     ///< fingerprints frozen onto their best arm
-
-  MetricCounters& operator+=(const MetricCounters& o) noexcept {
-    flops += o.flops;
-    accum_inserts += o.accum_inserts;
-    accum_rejects += o.accum_rejects;
-    hash_probes += o.hash_probes;
-    hash_collisions += o.hash_collisions;
-    marker_row_resets += o.marker_row_resets;
-    marker_overflow_resets += o.marker_overflow_resets;
-    explicit_reset_slots += o.explicit_reset_slots;
-    accum_rehashes += o.accum_rehashes;
-    accum_degrades += o.accum_degrades;
-    binary_search_steps += o.binary_search_steps;
-    hybrid_coiter_picks += o.hybrid_coiter_picks;
-    hybrid_linear_picks += o.hybrid_linear_picks;
-    blocked_dense_picks += o.blocked_dense_picks;
-    blocked_sparse_picks += o.blocked_sparse_picks;
-    tiles_created += o.tiles_created;
-    tiles_executed += o.tiles_executed;
-    rows_processed += o.rows_processed;
-    busy_ns += o.busy_ns;
-    engine_jobs += o.engine_jobs;
-    engine_job_ns += o.engine_job_ns;
-    engine_queue_ns += o.engine_queue_ns;
-    engine_queue_depth += o.engine_queue_depth;
-    engine_tasks += o.engine_tasks;
-    engine_steals += o.engine_steals;
-    engine_jobs_shed += o.engine_jobs_shed;
-    engine_jobs_deferred += o.engine_jobs_deferred;
-    engine_jobs_expensive += o.engine_jobs_expensive;
-    engine_deadline_misses += o.engine_deadline_misses;
-    engine_jobs_stuck += o.engine_jobs_stuck;
-    engine_retries += o.engine_retries;
-    engine_brownouts += o.engine_brownouts;
-    engine_telemetry_samples += o.engine_telemetry_samples;
-    autotune_explorations += o.autotune_explorations;
-    autotune_arm_switches += o.autotune_arm_switches;
-    autotune_converged += o.autotune_converged;
-    return *this;
-  }
-
-  /// Field-wise saturating difference (used for before/after deltas; the
-  /// counters are monotone between resets, so plain subtraction suffices
-  /// unless a reset happened in between — saturate instead of wrapping).
-  [[nodiscard]] MetricCounters minus(const MetricCounters& o) const noexcept {
-    const auto sub = [](std::uint64_t a, std::uint64_t b) {
-      return a >= b ? a - b : std::uint64_t{0};
-    };
-    MetricCounters d;
-    d.flops = sub(flops, o.flops);
-    d.accum_inserts = sub(accum_inserts, o.accum_inserts);
-    d.accum_rejects = sub(accum_rejects, o.accum_rejects);
-    d.hash_probes = sub(hash_probes, o.hash_probes);
-    d.hash_collisions = sub(hash_collisions, o.hash_collisions);
-    d.marker_row_resets = sub(marker_row_resets, o.marker_row_resets);
-    d.marker_overflow_resets = sub(marker_overflow_resets, o.marker_overflow_resets);
-    d.explicit_reset_slots = sub(explicit_reset_slots, o.explicit_reset_slots);
-    d.accum_rehashes = sub(accum_rehashes, o.accum_rehashes);
-    d.accum_degrades = sub(accum_degrades, o.accum_degrades);
-    d.binary_search_steps = sub(binary_search_steps, o.binary_search_steps);
-    d.hybrid_coiter_picks = sub(hybrid_coiter_picks, o.hybrid_coiter_picks);
-    d.hybrid_linear_picks = sub(hybrid_linear_picks, o.hybrid_linear_picks);
-    d.blocked_dense_picks = sub(blocked_dense_picks, o.blocked_dense_picks);
-    d.blocked_sparse_picks = sub(blocked_sparse_picks, o.blocked_sparse_picks);
-    d.tiles_created = sub(tiles_created, o.tiles_created);
-    d.tiles_executed = sub(tiles_executed, o.tiles_executed);
-    d.rows_processed = sub(rows_processed, o.rows_processed);
-    d.busy_ns = sub(busy_ns, o.busy_ns);
-    d.engine_jobs = sub(engine_jobs, o.engine_jobs);
-    d.engine_job_ns = sub(engine_job_ns, o.engine_job_ns);
-    d.engine_queue_ns = sub(engine_queue_ns, o.engine_queue_ns);
-    d.engine_queue_depth = sub(engine_queue_depth, o.engine_queue_depth);
-    d.engine_tasks = sub(engine_tasks, o.engine_tasks);
-    d.engine_steals = sub(engine_steals, o.engine_steals);
-    d.engine_jobs_shed = sub(engine_jobs_shed, o.engine_jobs_shed);
-    d.engine_jobs_deferred = sub(engine_jobs_deferred, o.engine_jobs_deferred);
-    d.engine_jobs_expensive = sub(engine_jobs_expensive, o.engine_jobs_expensive);
-    d.engine_deadline_misses = sub(engine_deadline_misses, o.engine_deadline_misses);
-    d.engine_jobs_stuck = sub(engine_jobs_stuck, o.engine_jobs_stuck);
-    d.engine_retries = sub(engine_retries, o.engine_retries);
-    d.engine_brownouts = sub(engine_brownouts, o.engine_brownouts);
-    d.engine_telemetry_samples = sub(engine_telemetry_samples, o.engine_telemetry_samples);
-    d.autotune_explorations = sub(autotune_explorations, o.autotune_explorations);
-    d.autotune_arm_switches = sub(autotune_arm_switches, o.autotune_arm_switches);
-    d.autotune_converged = sub(autotune_converged, o.autotune_converged);
-    return d;
-  }
-
-  [[nodiscard]] bool all_zero() const noexcept {
-    return flops == 0 && accum_inserts == 0 && accum_rejects == 0 &&
-           hash_probes == 0 && hash_collisions == 0 && marker_row_resets == 0 &&
-           marker_overflow_resets == 0 && explicit_reset_slots == 0 &&
-           accum_rehashes == 0 && accum_degrades == 0 &&
-           binary_search_steps == 0 && hybrid_coiter_picks == 0 &&
-           hybrid_linear_picks == 0 && blocked_dense_picks == 0 &&
-           blocked_sparse_picks == 0 && tiles_created == 0 &&
-           tiles_executed == 0 && rows_processed == 0 && busy_ns == 0 &&
-           engine_jobs == 0 && engine_job_ns == 0 && engine_queue_ns == 0 &&
-           engine_queue_depth == 0 && engine_tasks == 0 &&
-           engine_steals == 0 && engine_jobs_shed == 0 &&
-           engine_jobs_deferred == 0 && engine_jobs_expensive == 0 &&
-           engine_deadline_misses == 0 && engine_jobs_stuck == 0 &&
-           engine_retries == 0 && engine_brownouts == 0 &&
-           engine_telemetry_samples == 0 && autotune_explorations == 0 &&
-           autotune_arm_switches == 0 && autotune_converged == 0;
-  }
+  TILQ_COUNTER_MEMBERS(MetricCounters, TILQ_METRIC_COUNTERS)
 };
 
 /// One thread's contribution. Thread ids are assigned in registration

@@ -66,7 +66,7 @@ long perf_event_open_syscall(perf_event_attr* attr, pid_t pid, int cpu,
   return syscall(SYS_perf_event_open, attr, pid, cpu, group_fd, flags);
 }
 
-/// Slots of the group, in HwCounters field order. The leader (cycles) must
+/// Slots of the group, in TILQ_HW_COUNTERS row order. The leader must
 /// open; members are optional and skipped individually when the PMU or the
 /// kernel rejects them.
 enum Slot {
@@ -78,6 +78,8 @@ enum Slot {
   kStalledCycles,
   kSlotCount,
 };
+static_assert(sizeof(HwCounters) == kSlotCount * sizeof(std::uint64_t),
+              "one group slot per TILQ_HW_COUNTERS row");
 
 constexpr std::uint64_t cache_config(std::uint64_t cache, std::uint64_t op,
                                      std::uint64_t result) {
@@ -127,10 +129,10 @@ class ThreadGroup {
         enabled > running
             ? static_cast<double>(enabled) / static_cast<double>(running)
             : 1.0;
+#define TILQ_HW_FIELD_ADDRESS(name, help) &out.name,
     std::uint64_t* const fields[kSlotCount] = {
-        &out.cycles,     &out.instructions,  &out.llc_loads,
-        &out.llc_misses, &out.branch_misses, &out.stalled_cycles,
-    };
+        TILQ_HW_COUNTERS(TILQ_HW_FIELD_ADDRESS)};
+#undef TILQ_HW_FIELD_ADDRESS
     for (std::uint64_t e = 0; e < nr && e < kSlotCount; ++e) {
       const std::uint64_t value = buf[3 + 2 * e];
       const std::uint64_t id = buf[3 + 2 * e + 1];

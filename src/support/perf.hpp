@@ -34,6 +34,8 @@
 
 #include <cstdint>
 
+#include "support/counter_table.hpp"
+
 // Same compile-time gate as support/metrics.hpp (which includes this header
 // for HwCounters, so the gate default is replicated instead of included).
 #ifndef TILQ_METRICS_ENABLED
@@ -42,49 +44,26 @@
 
 namespace tilq {
 
+/// The hardware counter table: one X(name, help) row per HwCounters
+/// field, in perf group slot order (perf.cpp's Slot enum; the leader
+/// first). Fields and the `hw` JSON record object expand from it, as for
+/// TILQ_METRIC_COUNTERS.
+#define TILQ_HW_COUNTERS(X)                                        \
+  X(cycles, "CPU cycles (group leader)")                           \
+  X(instructions, "retired instructions")                          \
+  X(llc_loads, "last-level-cache read accesses")                   \
+  X(llc_misses, "last-level-cache read misses")                    \
+  X(branch_misses, "mispredicted branches")                        \
+  X(stalled_cycles, "cycles with no issue (backend, or frontend "  \
+                    "where backend is absent)")
+
 /// One reading (or delta) of the hardware counter group. A field the PMU
 /// could not provide stays 0; `all_zero()` distinguishes "no data at all"
-/// (perf unavailable) from a real reading, since cycles can never be 0
+/// (perf unavailable) from a real reading, since the leader never reads 0
 /// across a non-empty measured region. Documented field-by-field in
 /// docs/METRICS.md (machine-checked by tools/check_metrics_docs.py).
 struct HwCounters {
-  std::uint64_t cycles = 0;          ///< CPU cycles (group leader)
-  std::uint64_t instructions = 0;    ///< retired instructions
-  std::uint64_t llc_loads = 0;       ///< last-level-cache read accesses
-  std::uint64_t llc_misses = 0;      ///< last-level-cache read misses
-  std::uint64_t branch_misses = 0;   ///< mispredicted branches
-  std::uint64_t stalled_cycles = 0;  ///< cycles with no issue (backend, or
-                                     ///< frontend where backend is absent)
-
-  HwCounters& operator+=(const HwCounters& o) noexcept {
-    cycles += o.cycles;
-    instructions += o.instructions;
-    llc_loads += o.llc_loads;
-    llc_misses += o.llc_misses;
-    branch_misses += o.branch_misses;
-    stalled_cycles += o.stalled_cycles;
-    return *this;
-  }
-
-  /// Field-wise saturating difference (mirrors MetricCounters::minus).
-  [[nodiscard]] HwCounters minus(const HwCounters& o) const noexcept {
-    const auto sub = [](std::uint64_t a, std::uint64_t b) {
-      return a >= b ? a - b : std::uint64_t{0};
-    };
-    HwCounters d;
-    d.cycles = sub(cycles, o.cycles);
-    d.instructions = sub(instructions, o.instructions);
-    d.llc_loads = sub(llc_loads, o.llc_loads);
-    d.llc_misses = sub(llc_misses, o.llc_misses);
-    d.branch_misses = sub(branch_misses, o.branch_misses);
-    d.stalled_cycles = sub(stalled_cycles, o.stalled_cycles);
-    return d;
-  }
-
-  [[nodiscard]] bool all_zero() const noexcept {
-    return cycles == 0 && instructions == 0 && llc_loads == 0 &&
-           llc_misses == 0 && branch_misses == 0 && stalled_cycles == 0;
-  }
+  TILQ_COUNTER_MEMBERS(HwCounters, TILQ_HW_COUNTERS)
 };
 
 /// Pure classifier for the TILQ_PERF environment value: true for the

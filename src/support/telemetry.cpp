@@ -262,99 +262,11 @@ std::size_t FlightRecorder::capacity() const noexcept { return slots_.size(); }
 // --- Prometheus rendering ------------------------------------------------
 
 void render_prometheus(std::string& out) {
-  const MetricsSnapshot snapshot = metrics_snapshot();
-  const MetricCounters& c = snapshot.total;
-  prom_value_u64(out, "tilq_flops", "counter",
-                 "semiring multiplications performed", c.flops);
-  prom_value_u64(out, "tilq_accum_inserts", "counter",
-                 "accumulator inserts inside the mask", c.accum_inserts);
-  prom_value_u64(out, "tilq_accum_rejects", "counter",
-                 "accumulator probes outside the mask", c.accum_rejects);
-  prom_value_u64(out, "tilq_hash_probes", "counter",
-                 "hash probe-chain steps past the home slot", c.hash_probes);
-  prom_value_u64(out, "tilq_hash_collisions", "counter",
-                 "hash insertions that needed chain steps", c.hash_collisions);
-  prom_value_u64(out, "tilq_marker_row_resets", "counter",
-                 "marker-policy per-row epoch bumps", c.marker_row_resets);
-  prom_value_u64(out, "tilq_marker_overflow_resets", "counter",
-                 "whole-state clears on marker overflow",
-                 c.marker_overflow_resets);
-  prom_value_u64(out, "tilq_explicit_reset_slots", "counter",
-                 "slots cleared by explicit resets", c.explicit_reset_slots);
-  prom_value_u64(out, "tilq_accum_rehashes", "counter",
-                 "hash grow-and-rehash saturation responses",
-                 c.accum_rehashes);
-  prom_value_u64(out, "tilq_accum_degrades", "counter",
-                 "rows escalated to the dense fallback", c.accum_degrades);
-  prom_value_u64(out, "tilq_binary_search_steps", "counter",
-                 "halving steps in co-iteration searches",
-                 c.binary_search_steps);
-  prom_value_u64(out, "tilq_hybrid_coiter_picks", "counter",
-                 "pairs where hybrid chose co-iteration",
-                 c.hybrid_coiter_picks);
-  prom_value_u64(out, "tilq_hybrid_linear_picks", "counter",
-                 "pairs where hybrid chose linear scan",
-                 c.hybrid_linear_picks);
-  prom_value_u64(out, "tilq_blocked_dense_picks", "counter",
-                 "blocked tile tasks run on the dense accumulator",
-                 c.blocked_dense_picks);
-  prom_value_u64(out, "tilq_blocked_sparse_picks", "counter",
-                 "blocked tile tasks run on the sparse accumulator",
-                 c.blocked_sparse_picks);
-  prom_value_u64(out, "tilq_tiles_created", "counter",
-                 "tiles produced by the tilers", c.tiles_created);
-  prom_value_u64(out, "tilq_tiles_executed", "counter",
-                 "tiles processed in compute phases", c.tiles_executed);
-  prom_value_u64(out, "tilq_rows_processed", "counter",
-                 "output rows computed", c.rows_processed);
-  prom_value_u64(out, "tilq_busy_ns", "counter",
-                 "compute-loop busy wall time in nanoseconds", c.busy_ns);
-  prom_value_u64(out, "tilq_engine_jobs", "counter",
-                 "batch-engine jobs completed", c.engine_jobs);
-  prom_value_u64(out, "tilq_engine_job_ns", "counter",
-                 "total submit-to-done job latency in nanoseconds",
-                 c.engine_job_ns);
-  prom_value_u64(out, "tilq_engine_queue_ns", "counter",
-                 "total submit-to-first-task wait in nanoseconds",
-                 c.engine_queue_ns);
-  prom_value_u64(out, "tilq_engine_queue_depth", "counter",
-                 "in-flight jobs summed over submits", c.engine_queue_depth);
-  prom_value_u64(out, "tilq_engine_tasks", "counter",
-                 "tile tasks run on engine pool workers", c.engine_tasks);
-  prom_value_u64(out, "tilq_engine_steals", "counter",
-                 "engine tasks taken from another worker", c.engine_steals);
-  prom_value_u64(out, "tilq_engine_jobs_shed", "counter",
-                 "expensive jobs refused at the shed bound",
-                 c.engine_jobs_shed);
-  prom_value_u64(out, "tilq_engine_jobs_deferred", "counter",
-                 "expensive jobs demoted to the background lane",
-                 c.engine_jobs_deferred);
-  prom_value_u64(out, "tilq_engine_jobs_expensive", "counter",
-                 "admitted jobs the cost model priced expensive",
-                 c.engine_jobs_expensive);
-  prom_value_u64(out, "tilq_engine_deadline_misses", "counter",
-                 "jobs cancelled past their deadline",
-                 c.engine_deadline_misses);
-  prom_value_u64(out, "tilq_engine_jobs_stuck", "counter",
-                 "in-flight jobs flagged by the watchdog",
-                 c.engine_jobs_stuck);
-  prom_value_u64(out, "tilq_engine_retries", "counter",
-                 "retry attempts (auto-replan and degraded-config)",
-                 c.engine_retries);
-  prom_value_u64(out, "tilq_engine_brownouts", "counter",
-                 "memory-governor transitions into brownout",
-                 c.engine_brownouts);
-  prom_value_u64(out, "tilq_engine_telemetry_samples", "counter",
-                 "telemetry sampler ticks taken", c.engine_telemetry_samples);
-  prom_value_u64(out, "tilq_autotune_explorations", "counter",
-                 "bandit draws that served a non-best arm",
-                 c.autotune_explorations);
-  prom_value_u64(out, "tilq_autotune_arm_switches", "counter",
-                 "fingerprints whose best arm changed",
-                 c.autotune_arm_switches);
-  prom_value_u64(out, "tilq_autotune_converged", "counter",
-                 "fingerprints frozen onto their best arm",
-                 c.autotune_converged);
+  const MetricCounters c = metrics_snapshot().total;
+#define TILQ_PROM_COUNTER(name, help) \
+  prom_value_u64(out, "tilq_" #name, "counter", help, c.name);
+  TILQ_METRIC_COUNTERS(TILQ_PROM_COUNTER)
+#undef TILQ_PROM_COUNTER
 }
 
 // --- TelemetryHub --------------------------------------------------------

@@ -30,7 +30,7 @@ using SR = PlusTimes<double>;
 /// else. Drives the bandit with select/report until the fingerprint
 /// freezes; returns the number of draws it took.
 double synthetic_cost(const Config& config) {
-  return (config.effective_strategy() == Strategy::kBlocked &&
+  return (config.mode == Strategy::kBlocked &&
           config.accumulator == AccumulatorKind::kDense)
              ? 0.1
              : 1.0;
@@ -83,7 +83,7 @@ TEST_F(AutotuneBanditTest, ConvergesOntoSyntheticBestArm) {
   const std::vector<ArmStats> arms = bandit.arms(fp);
   ASSERT_GE(best, 0);
   const Config& winner = arms[static_cast<std::size_t>(best)].config;
-  EXPECT_EQ(winner.effective_strategy(), Strategy::kBlocked);
+  EXPECT_EQ(winner.mode, Strategy::kBlocked);
   EXPECT_EQ(winner.accumulator, AccumulatorKind::kDense);
   // Frozen: every further select serves the winner without exploring.
   for (int i = 0; i < 20; ++i) {

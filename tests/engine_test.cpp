@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/masked_spgemm.hpp"
-#include "core/masked_spgemm_2d.hpp"
 #include "support/fault.hpp"
 #include "support/metrics.hpp"
 #include "test_util.hpp"
@@ -79,6 +78,7 @@ TEST_F(EngineTest, BitIdenticalToSingleCallPathAcrossConfigs) {
   }
   {
     Config two_d;
+    two_d.mode = Strategy::k2D;
     two_d.num_col_tiles = 3;
     configs.push_back(two_d);
   }

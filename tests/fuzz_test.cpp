@@ -12,7 +12,6 @@
 
 #include "core/blocked.hpp"
 #include "core/masked_spgemm.hpp"
-#include "core/masked_spgemm_2d.hpp"
 #include "core/spgemm.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/validate.hpp"
@@ -86,10 +85,11 @@ TEST_P(FuzzRounds, TwoDeeTilingAgreesWithOneDee) {
       config.strategy = MaskStrategy::kHybrid;  // unsupported in 2D
     }
     Config one_d_config = config;  // same knobs, 1D execution space
+    config.mode = Strategy::k2D;
     config.num_col_tiles = static_cast<std::int64_t>(1 + rng.uniform_below(20));
 
     const auto one_d = masked_spgemm<SR>(a, a, a, one_d_config);
-    const auto two_d = masked_spgemm_2d<SR>(a, a, a, config);
+    const auto two_d = masked_spgemm<SR>(a, a, a, config);
     ASSERT_TRUE(test::csr_equal(one_d, two_d))
         << one_d_config.describe() << " col_tiles " << config.num_col_tiles;
   }

@@ -328,6 +328,7 @@ TEST_F(Hardening, DegradationWorksUnder2dTiling) {
   Config config;
   config.accumulator = AccumulatorKind::kHash;
   config.strategy = MaskStrategy::kMaskFirst;
+  config.mode = Strategy::k2D;
   config.num_col_tiles = 3;
   config.threads = 2;
   fault::arm(FaultSite::kHashSaturation);

@@ -32,13 +32,15 @@ double oracle_quantile_ms(std::vector<std::uint64_t> ns, double q) {
 }
 
 /// The histogram's contract versus the oracle: never below, at most +25%
-/// (plus one absolute nanosecond for the integer bucket edges).
+/// (plus one absolute nanosecond for the integer bucket edges), and never
+/// above the largest recorded sample.
 void expect_within_bound(const LatencyHistogram& hist,
                          const std::vector<std::uint64_t>& samples, double q) {
   const double oracle = oracle_quantile_ms(samples, q);
   const double reported = hist.quantile_ms(q);
   EXPECT_GE(reported, oracle) << "q=" << q;
   EXPECT_LE(reported, oracle * 1.25 + 1e-6) << "q=" << q;
+  EXPECT_LE(reported, hist.max_ms()) << "q=" << q;
 }
 
 TEST(LatencyHistogramTest, EmptyHistogramReportsZeros) {

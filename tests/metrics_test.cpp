@@ -15,7 +15,7 @@
 #include <string_view>
 
 #include "core/masked_spgemm.hpp"
-#include "core/masked_spgemm_2d.hpp"
+#include "support/telemetry.hpp"
 #include "support/trace.hpp"
 #include "test_util.hpp"
 
@@ -332,9 +332,10 @@ TEST_F(MetricsTest, TwoDimensionalDriverCountsCells) {
   const auto a = test::random_matrix<double, I>(60, 60, 0.1, 31);
   Config config;
   config.strategy = MaskStrategy::kMaskFirst;
+  config.mode = Strategy::k2D;
   config.num_col_tiles = 4;
   ExecutionStats stats;
-  (void)masked_spgemm_2d<SR>(a, a, a, config, stats);
+  (void)masked_spgemm<SR>(a, a, a, config, stats);
 
   const MetricsSnapshot snapshot = metrics_snapshot();
   EXPECT_EQ(snapshot.total.tiles_executed,
@@ -367,6 +368,181 @@ TEST_F(MetricsTest, RecordFormatsAsSchemaThreeJson) {
         "\"engine_steals\""}) {
     EXPECT_NE(line.find(field), std::string::npos) << "missing " << field;
   }
+}
+
+// Golden exposition: every counter set by name to a distinct value must
+// serialize to exactly these bytes in the JSON record (software and
+// hardware counters) and the free Prometheus renderer. Names, order, HELP text and formatting are a
+// contract with dashboards and the bench harness; any drift fails here.
+TEST_F(MetricsTest, GoldenCounterExpositionIsByteStable) {
+  metrics_reset();
+  MetricCounters& c = *metrics_thread_counters();
+  c.flops = 1000;
+  c.accum_inserts = 1001;
+  c.accum_rejects = 1002;
+  c.hash_probes = 1003;
+  c.hash_collisions = 1004;
+  c.marker_row_resets = 1005;
+  c.marker_overflow_resets = 1006;
+  c.explicit_reset_slots = 1007;
+  c.accum_rehashes = 1008;
+  c.accum_degrades = 1009;
+  c.binary_search_steps = 1010;
+  c.hybrid_coiter_picks = 1011;
+  c.hybrid_linear_picks = 1012;
+  c.blocked_dense_picks = 1013;
+  c.blocked_sparse_picks = 1014;
+  c.tiles_created = 1015;
+  c.tiles_executed = 1016;
+  c.rows_processed = 1017;
+  c.busy_ns = 1018;
+  c.engine_jobs = 1019;
+  c.engine_job_ns = 1020;
+  c.engine_queue_ns = 1021;
+  c.engine_queue_depth = 1022;
+  c.engine_tasks = 1023;
+  c.engine_steals = 1024;
+  c.engine_jobs_shed = 1025;
+  c.engine_jobs_deferred = 1026;
+  c.engine_jobs_expensive = 1027;
+  c.engine_deadline_misses = 1028;
+  c.engine_jobs_stuck = 1029;
+  c.engine_retries = 1030;
+  c.engine_brownouts = 1031;
+  c.engine_telemetry_samples = 1032;
+  c.autotune_explorations = 1033;
+  c.autotune_arm_switches = 1034;
+  c.autotune_converged = 1035;
+  HwCounters& hw = *metrics_thread_hw();
+  hw.cycles = 2000;
+  hw.instructions = 2001;
+  hw.llc_loads = 2002;
+  hw.llc_misses = 2003;
+  hw.branch_misses = 2004;
+  hw.stalled_cycles = 2005;
+
+  const std::string line = format_metrics_record({}, metrics_snapshot());
+  const std::size_t begin = line.find("\"counters\":");
+  ASSERT_NE(begin, std::string::npos) << line;
+  EXPECT_EQ(line.substr(begin, line.find('}', begin) - begin + 1),
+            R"("counters":{"flops":1000,"accum_inserts":1001,"accum_rejects":1002,"hash_probes":1003,"hash_collisions":1004,"marker_row_resets":1005,"marker_overflow_resets":1006,"explicit_reset_slots":1007,"accum_rehashes":1008,"accum_degrades":1009,"binary_search_steps":1010,"hybrid_coiter_picks":1011,"hybrid_linear_picks":1012,"blocked_dense_picks":1013,"blocked_sparse_picks":1014,"tiles_created":1015,"tiles_executed":1016,"rows_processed":1017,"busy_ns":1018,"engine_jobs":1019,"engine_job_ns":1020,"engine_queue_ns":1021,"engine_queue_depth":1022,"engine_tasks":1023,"engine_steals":1024,"engine_jobs_shed":1025,"engine_jobs_deferred":1026,"engine_jobs_expensive":1027,"engine_deadline_misses":1028,"engine_jobs_stuck":1029,"engine_retries":1030,"engine_brownouts":1031,"engine_telemetry_samples":1032,"autotune_explorations":1033,"autotune_arm_switches":1034,"autotune_converged":1035})");
+  const std::size_t hw_begin = line.find("\"hw\":");
+  ASSERT_NE(hw_begin, std::string::npos) << line;
+  EXPECT_EQ(line.substr(hw_begin, line.find('}', hw_begin) - hw_begin + 1),
+            R"("hw":{"cycles":2000,"instructions":2001,"llc_loads":2002,)"
+            R"("llc_misses":2003,"branch_misses":2004,"stalled_cycles":2005})");
+
+  std::string exposition;
+  render_prometheus(exposition);
+  EXPECT_EQ(exposition, R"(# HELP tilq_flops semiring multiplications performed
+# TYPE tilq_flops counter
+tilq_flops 1000
+# HELP tilq_accum_inserts accumulator inserts inside the mask
+# TYPE tilq_accum_inserts counter
+tilq_accum_inserts 1001
+# HELP tilq_accum_rejects accumulator probes outside the mask
+# TYPE tilq_accum_rejects counter
+tilq_accum_rejects 1002
+# HELP tilq_hash_probes hash probe-chain steps past the home slot
+# TYPE tilq_hash_probes counter
+tilq_hash_probes 1003
+# HELP tilq_hash_collisions hash insertions that needed chain steps
+# TYPE tilq_hash_collisions counter
+tilq_hash_collisions 1004
+# HELP tilq_marker_row_resets marker-policy per-row epoch bumps
+# TYPE tilq_marker_row_resets counter
+tilq_marker_row_resets 1005
+# HELP tilq_marker_overflow_resets whole-state clears on marker overflow
+# TYPE tilq_marker_overflow_resets counter
+tilq_marker_overflow_resets 1006
+# HELP tilq_explicit_reset_slots slots cleared by explicit resets
+# TYPE tilq_explicit_reset_slots counter
+tilq_explicit_reset_slots 1007
+# HELP tilq_accum_rehashes hash grow-and-rehash saturation responses
+# TYPE tilq_accum_rehashes counter
+tilq_accum_rehashes 1008
+# HELP tilq_accum_degrades rows escalated to the dense fallback
+# TYPE tilq_accum_degrades counter
+tilq_accum_degrades 1009
+# HELP tilq_binary_search_steps halving steps in co-iteration searches
+# TYPE tilq_binary_search_steps counter
+tilq_binary_search_steps 1010
+# HELP tilq_hybrid_coiter_picks pairs where hybrid chose co-iteration
+# TYPE tilq_hybrid_coiter_picks counter
+tilq_hybrid_coiter_picks 1011
+# HELP tilq_hybrid_linear_picks pairs where hybrid chose linear scan
+# TYPE tilq_hybrid_linear_picks counter
+tilq_hybrid_linear_picks 1012
+# HELP tilq_blocked_dense_picks blocked tile tasks run on the dense accumulator
+# TYPE tilq_blocked_dense_picks counter
+tilq_blocked_dense_picks 1013
+# HELP tilq_blocked_sparse_picks blocked tile tasks run on the sparse accumulator
+# TYPE tilq_blocked_sparse_picks counter
+tilq_blocked_sparse_picks 1014
+# HELP tilq_tiles_created tiles produced by the tilers
+# TYPE tilq_tiles_created counter
+tilq_tiles_created 1015
+# HELP tilq_tiles_executed tiles processed in compute phases
+# TYPE tilq_tiles_executed counter
+tilq_tiles_executed 1016
+# HELP tilq_rows_processed output rows computed
+# TYPE tilq_rows_processed counter
+tilq_rows_processed 1017
+# HELP tilq_busy_ns compute-loop busy wall time in nanoseconds
+# TYPE tilq_busy_ns counter
+tilq_busy_ns 1018
+# HELP tilq_engine_jobs batch-engine jobs completed
+# TYPE tilq_engine_jobs counter
+tilq_engine_jobs 1019
+# HELP tilq_engine_job_ns total submit-to-done job latency in nanoseconds
+# TYPE tilq_engine_job_ns counter
+tilq_engine_job_ns 1020
+# HELP tilq_engine_queue_ns total submit-to-first-task wait in nanoseconds
+# TYPE tilq_engine_queue_ns counter
+tilq_engine_queue_ns 1021
+# HELP tilq_engine_queue_depth in-flight jobs summed over submits
+# TYPE tilq_engine_queue_depth counter
+tilq_engine_queue_depth 1022
+# HELP tilq_engine_tasks tile tasks run on engine pool workers
+# TYPE tilq_engine_tasks counter
+tilq_engine_tasks 1023
+# HELP tilq_engine_steals engine tasks taken from another worker
+# TYPE tilq_engine_steals counter
+tilq_engine_steals 1024
+# HELP tilq_engine_jobs_shed expensive jobs refused at the shed bound
+# TYPE tilq_engine_jobs_shed counter
+tilq_engine_jobs_shed 1025
+# HELP tilq_engine_jobs_deferred expensive jobs demoted to the background lane
+# TYPE tilq_engine_jobs_deferred counter
+tilq_engine_jobs_deferred 1026
+# HELP tilq_engine_jobs_expensive admitted jobs the cost model priced expensive
+# TYPE tilq_engine_jobs_expensive counter
+tilq_engine_jobs_expensive 1027
+# HELP tilq_engine_deadline_misses jobs cancelled past their deadline
+# TYPE tilq_engine_deadline_misses counter
+tilq_engine_deadline_misses 1028
+# HELP tilq_engine_jobs_stuck in-flight jobs flagged by the watchdog
+# TYPE tilq_engine_jobs_stuck counter
+tilq_engine_jobs_stuck 1029
+# HELP tilq_engine_retries retry attempts (auto-replan and degraded-config)
+# TYPE tilq_engine_retries counter
+tilq_engine_retries 1030
+# HELP tilq_engine_brownouts memory-governor transitions into brownout
+# TYPE tilq_engine_brownouts counter
+tilq_engine_brownouts 1031
+# HELP tilq_engine_telemetry_samples telemetry sampler ticks taken
+# TYPE tilq_engine_telemetry_samples counter
+tilq_engine_telemetry_samples 1032
+# HELP tilq_autotune_explorations bandit draws that served a non-best arm
+# TYPE tilq_autotune_explorations counter
+tilq_autotune_explorations 1033
+# HELP tilq_autotune_arm_switches fingerprints whose best arm changed
+# TYPE tilq_autotune_arm_switches counter
+tilq_autotune_arm_switches 1034
+# HELP tilq_autotune_converged fingerprints frozen onto their best arm
+# TYPE tilq_autotune_converged counter
+tilq_autotune_converged 1035
+)");
 }
 
 TEST_F(MetricsTest, RecordCarriesImbalanceAndExplicitHwNull) {
@@ -435,9 +611,10 @@ TEST_F(MetricsTest, ExecutionStatsCarryPerThreadWork) {
   // The same invariants through the 2D driver: every row is visited once
   // per column tile.
   Config config2d = config;
+  config2d.mode = Strategy::k2D;
   config2d.num_col_tiles = 3;
   ExecutionStats stats2d;
-  (void)masked_spgemm_2d<SR>(a, a, a, config2d, stats2d);
+  (void)masked_spgemm<SR>(a, a, a, config2d, stats2d);
   std::int64_t rows2d = 0;
   for (const ThreadWork& t : stats2d.thread_work) {
     rows2d += t.rows;

@@ -16,7 +16,6 @@
 #include "algos/ktruss.hpp"
 #include "algos/triangle_count.hpp"
 #include "core/masked_spgemm.hpp"
-#include "core/masked_spgemm_2d.hpp"
 #include "sparse/build.hpp"
 #include "sparse/ops.hpp"
 #include "support/rng.hpp"
@@ -302,6 +301,7 @@ TEST(Plan2d, PlannedTwoDimensionalMatchesOracleAndRepeats) {
   const Problem p = make_problem(37);
   Config config;
   config.strategy = MaskStrategy::kMaskFirst;
+  config.mode = Strategy::k2D;
   config.num_col_tiles = 3;
   config.num_tiles = 4;
 
@@ -319,9 +319,27 @@ TEST(Plan2d, VanillaTwoDimensionalIsRejected) {
   const Problem p = make_problem(41);
   Config config;
   config.strategy = MaskStrategy::kVanilla;
+  config.mode = Strategy::k2D;
   config.num_col_tiles = 2;
   Executor<SR> exec;
   EXPECT_THROW(exec.plan(p.mask, p.a, p.b, config), PreconditionError);
+}
+
+TEST(Plan2d, ColumnTilesOutsideTwoDimensionalModeAreRejected) {
+  // Column tiles no longer switch the execution space on their own: only
+  // Config::mode selects it, so the combination is a loud error.
+  const Problem p = make_problem(47);
+  for (const Strategy mode : {Strategy::k1D, Strategy::kBlocked}) {
+    Config config;
+    config.mode = mode;
+    config.num_col_tiles = 3;
+    Executor<SR> exec;
+    EXPECT_THROW(exec.plan(p.mask, p.a, p.b, config), PreconditionError)
+        << to_string(mode);
+    EXPECT_THROW((void)masked_spgemm<SR>(p.mask, p.a, p.b, config),
+                 PreconditionError)
+        << to_string(mode);
+  }
 }
 
 TEST(Plan2d, SingleColumnTileDegeneratesToOneDimensional) {
@@ -552,15 +570,16 @@ TEST(PlanCacheTest, TriangleCountSharedCacheMatchesUncached) {
 TEST(ConfigUnification, StrategySelectionAndDescribe) {
   Config config;
   config.strategy = MaskStrategy::kCoIterate;
-  EXPECT_EQ(config.effective_strategy(), Strategy::k1D);
+  EXPECT_EQ(config.mode, Strategy::k1D);
+  EXPECT_EQ(config.describe().find("col-tiles"), std::string::npos);
 
+  config.mode = Strategy::k2D;
   config.num_col_tiles = 4;
-  EXPECT_EQ(config.effective_strategy(), Strategy::k2D);
   EXPECT_NE(config.describe().find("col-tiles=4"), std::string::npos);
 
   config.mode = Strategy::kBlocked;
   config.block_cols = 512;
-  EXPECT_EQ(config.effective_strategy(), Strategy::kBlocked);
+  EXPECT_EQ(config.describe().find("col-tiles"), std::string::npos);
   EXPECT_NE(config.describe().find("mode=blocked"), std::string::npos);
   EXPECT_NE(config.describe().find("block-cols=512"), std::string::npos);
 

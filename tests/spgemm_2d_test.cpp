@@ -1,8 +1,6 @@
-// Tests for the 2D-tiled masked-SpGEMM: agreement with the dense oracle and
-// with the 1D driver across column tile counts, strategies, and
-// accumulators.
-#include "core/masked_spgemm_2d.hpp"
-
+// Tests for the 2D-tiled masked-SpGEMM (masked_spgemm under
+// Strategy::k2D): agreement with the dense oracle and with the 1D driver
+// across column tile counts, strategies, and accumulators.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +21,14 @@ struct Problem {
   Csr<double, I> b;
 };
 
+/// A 2D config: Config::mode is the only execution-space selector.
+Config two_d_config(std::int64_t col_tiles) {
+  Config config;
+  config.mode = Strategy::k2D;
+  config.num_col_tiles = col_tiles;
+  return config;
+}
+
 Problem make_problem(std::uint64_t seed) {
   return {test::random_matrix<double, I>(35, 45, 0.15, seed),
           test::random_matrix<double, I>(35, 30, 0.15, seed + 1),
@@ -34,15 +40,14 @@ class Spgemm2dColTiles
 };
 
 TEST_P(Spgemm2dColTiles, MatchesOracle) {
-  Config config;
-  config.num_col_tiles = std::get<0>(GetParam());
+  Config config = two_d_config(std::get<0>(GetParam()));
   config.strategy = std::get<1>(GetParam());
   config.accumulator = std::get<2>(GetParam());
   config.num_tiles = 6;
   for (const std::uint64_t seed : {1u, 5u}) {
     const Problem p = make_problem(seed);
     const auto expected = test::reference_masked_spgemm<SR>(p.mask, p.a, p.b);
-    const auto actual = masked_spgemm_2d<SR>(p.mask, p.a, p.b, config);
+    const auto actual = masked_spgemm<SR>(p.mask, p.a, p.b, config);
     EXPECT_TRUE(actual.check());
     EXPECT_TRUE(test::csr_equal(expected, actual))
         << "col_tiles=" << config.num_col_tiles << " "
@@ -61,39 +66,36 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Spgemm2d, SingleColumnTileEqualsOneDimensional) {
   const Problem p = make_problem(9);
-  Config config;
-  config.num_col_tiles = 1;
-  const auto two_d = masked_spgemm_2d<SR>(p.mask, p.a, p.b, config);
+  const Config config = two_d_config(1);
+  const auto two_d = masked_spgemm<SR>(p.mask, p.a, p.b, config);
   Config plain = config;
-  plain.num_col_tiles = 1;
+  plain.mode = Strategy::k1D;
   const auto one_d = masked_spgemm<SR>(p.mask, p.a, p.b, plain);
   EXPECT_TRUE(test::csr_equal(one_d, two_d));
 }
 
 TEST(Spgemm2d, VanillaStrategyIsRejected) {
   const Problem p = make_problem(11);
-  Config config;
+  Config config = two_d_config(1);
   config.strategy = MaskStrategy::kVanilla;
-  EXPECT_THROW(masked_spgemm_2d<SR>(p.mask, p.a, p.b, config),
+  EXPECT_THROW(masked_spgemm<SR>(p.mask, p.a, p.b, config),
                PreconditionError);
 }
 
 TEST(Spgemm2d, StatsCountRowByColumnTiles) {
   const Problem p = make_problem(13);
-  Config config;
+  Config config = two_d_config(3);
   config.num_tiles = 4;
-  config.num_col_tiles = 3;
   ExecutionStats stats;
-  (void)masked_spgemm_2d<SR>(p.mask, p.a, p.b, config, stats);
+  (void)masked_spgemm<SR>(p.mask, p.a, p.b, config, stats);
   EXPECT_EQ(stats.tiles, 12);
 }
 
 TEST(Spgemm2d, EmptyMask) {
   const Problem p = make_problem(17);
   const Csr<double, I> empty_mask(p.a.rows(), p.b.cols());
-  Config config;
-  config.num_col_tiles = 4;
-  const auto c = masked_spgemm_2d<SR>(empty_mask, p.a, p.b, config);
+  const Config config = two_d_config(4);
+  const auto c = masked_spgemm<SR>(empty_mask, p.a, p.b, config);
   EXPECT_EQ(c.nnz(), 0);
 }
 
@@ -101,23 +103,20 @@ TEST(Spgemm2d, SelfMaskedKernelAcrossMarkerWidths) {
   const auto a = test::random_matrix<double, I>(60, 60, 0.1, 21);
   const auto expected = test::reference_masked_spgemm<SR>(a, a, a);
   for (const MarkerWidth width : {MarkerWidth::k8, MarkerWidth::k64}) {
-    Config config;
-    config.num_col_tiles = 5;
+    Config config = two_d_config(5);
     config.marker_width = width;
-    EXPECT_TRUE(
-        test::csr_equal(expected, masked_spgemm_2d<SR>(a, a, a, config)))
+    EXPECT_TRUE(test::csr_equal(expected, masked_spgemm<SR>(a, a, a, config)))
         << bits(width);
   }
 }
 
 TEST(Spgemm2d, ExplicitResetPolicy) {
   const Problem p = make_problem(23);
-  Config config;
-  config.num_col_tiles = 4;
+  Config config = two_d_config(4);
   config.reset = ResetPolicy::kExplicit;
   const auto expected = test::reference_masked_spgemm<SR>(p.mask, p.a, p.b);
   EXPECT_TRUE(test::csr_equal(expected,
-                              masked_spgemm_2d<SR>(p.mask, p.a, p.b, config)));
+                              masked_spgemm<SR>(p.mask, p.a, p.b, config)));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -209,15 +210,23 @@ TEST(ThreadPoolTest, WorkerStatsSnapshotsAreSafeDuringStealHeavyLoad) {
   // The telemetry sampler reads worker_stats() while the pool runs; this
   // is that access pattern under load. Round-robin placement plus tiny
   // tasks keeps the deques unevenly drained, so steals occur while the
-  // sampler reads. TSan-clean is part of the contract.
+  // sampler reads. TSan-clean is part of the contract. The sampler opens
+  // a latch after its first snapshot and the load waits on it, so a
+  // descheduled sampler cannot miss the whole run.
   ThreadPool pool(4);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> snapshots{0};
+  std::latch sampling(1);
   std::thread sampler([&] {
     std::vector<std::uint64_t> last_executed(4, 0);
+    bool first = true;
     while (!stop.load(std::memory_order_acquire)) {
       const std::vector<ThreadPool::WorkerStats> per_worker =
           pool.worker_stats();
+      if (first) {
+        first = false;
+        sampling.count_down();
+      }
       ASSERT_EQ(per_worker.size(), 4u);
       for (std::size_t i = 0; i < per_worker.size(); ++i) {
         // Each worker's counter is monotone across snapshots.
@@ -230,6 +239,7 @@ TEST(ThreadPoolTest, WorkerStatsSnapshotsAreSafeDuringStealHeavyLoad) {
   });
   constexpr int kTasks = 4000;
   std::atomic<int> ran{0};
+  sampling.wait();
   for (int i = 0; i < kTasks; ++i) {
     pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
   }

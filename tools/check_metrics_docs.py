@@ -1,50 +1,32 @@
 #!/usr/bin/env python3
-"""Doc-lint: keep docs/METRICS.md and the observability headers in sync.
+"""Doc-lint: keep the observability docs in sync with the code.
 
-Checks, in both directions:
-  * every counter field of MetricCounters (src/support/metrics.hpp)
-    appears (backticked) in the table under '## Counters', and every
-    counter that table names exists as a field;
-  * every fault site the implementation names (the to_string table in
-    src/support/fault.cpp) appears in docs/ROBUSTNESS.md's site table
-    and vice versa, and the degradation and resilience counters
-    (`accum_*`, `engine_retries`, `engine_brownouts`) plus the
-    `tilq_engine_health` gauge are documented there;
-  * every hardware counter field of HwCounters (src/support/perf.hpp)
-    appears in the table under '## Hardware counters', and vice versa;
-  * every field the `imbalance` record object emits (scraped from
-    append_imbalance_json in src/support/metrics.cpp) appears in the
-    table under '## Load imbalance', and vice versa;
-  * the schema version the doc advertises ("schema version N" and the
-    `"tilq_metrics":N` example) matches kMetricsSchemaVersion;
-  * every engine_* counter appears in docs/CONCURRENCY.md's table under
-    '## Engine counters (metrics schema v3)' and vice versa;
-  * every public symbol of the batch engine and its thread pool (scraped
-    from src/core/engine.hpp and src/support/thread_pool.hpp — namespace
-    -scope types/functions and public members, *_detail namespaces and
-    private sections excluded) is named (backticked) somewhere in
-    docs/CONCURRENCY.md, so the thread-safety contract cannot silently
-    miss an API addition;
-  * every key the `engine_latency` record object emits (scraped from
-    append_engine_latency_json in src/support/metrics.cpp) appears in
-    docs/SERVING.md's table under '## Latency record fields (metrics
-    schema v3)' and vice versa, and every engine_* counter plus the
-    `tilq_engine_health` gauge is named (backticked) somewhere in
-    docs/SERVING.md — the serving guide is machine-checked, not
-    best-effort prose;
-  * with --telemetry-doc (opt-in): every `tilq_`-prefixed metric name
-    the Prometheus exporter emits (string literals scraped from
-    src/support/telemetry.cpp) appears in docs/TELEMETRY.md's table
-    under '## Exporter metrics' and vice versa; every flight-record
-    event name (the to_string(FlightEventKind) table) appears in the
-    table under '## Flight-record events' and vice versa; and every
-    public symbol of src/support/telemetry.hpp is named (backticked)
-    somewhere in docs/TELEMETRY.md;
-  * with --tuning-doc (opt-in): every autotune_* counter appears in
-    docs/TUNING.md's table under '## Autotune counters' and vice versa,
-    and every public symbol of src/core/autotune.hpp (--autotune-header)
-    is named (backticked) somewhere in docs/TUNING.md — the operator
-    tuning guide is machine-checked, not best-effort prose.
+Counter names come from the X-macro tables, one `X(name, "help")` row per
+counter: TILQ_METRIC_COUNTERS (src/support/metrics.hpp) and
+TILQ_HW_COUNTERS (src/support/perf.hpp). Every struct field, JSON key and
+`tilq_<name>` Prometheus series expands from those rows, so the lint
+reads the rows instead of parsing the structs or the serializers.
+
+Checks, run in full on every invocation:
+  * docs/METRICS.md: the '## Counters' table lists exactly the counter
+    table rows, '## Hardware counters' exactly the hardware rows,
+    '## Load imbalance' exactly the keys append_imbalance_json emits, and
+    every schema version the doc claims equals kMetricsSchemaVersion;
+  * docs/ROBUSTNESS.md names every fault site, defect kind, degradation
+    and resilience counter, and the `tilq_engine_health` gauge;
+  * docs/CONCURRENCY.md: '## Engine counters (metrics schema v3)' lists
+    exactly the engine_* counters, and the doc names every public symbol
+    of src/core/engine.hpp and src/support/thread_pool.hpp;
+  * docs/SERVING.md: '## Latency record fields (metrics schema v3)' lists
+    exactly the keys append_engine_latency_json emits, and the doc names
+    every engine_* counter and the health gauge;
+  * docs/TELEMETRY.md: '## Exporter metrics' lists exactly the exporter's
+    series (its `tilq_` string literals plus `tilq_<name>` per counter
+    row), '## Flight-record events' exactly the flight event names, and
+    the doc names every public symbol of src/support/telemetry.hpp;
+  * docs/TUNING.md: '## Autotune counters' lists exactly the autotune_*
+    counters, and the doc names every public symbol of
+    src/core/autotune.hpp.
 
 Exits non-zero with a readable diff when any pair drifts apart.
 Registered as the `doc_metrics_lint` CTest entry (skipped when python3
@@ -52,151 +34,86 @@ is absent).
 """
 
 import argparse
+import pathlib
 import re
 import sys
 
 
-def struct_fields(path: str, struct: str) -> set[str]:
-    """uint64 field names of `struct` declared before its first method."""
-    text = open(path, encoding="utf-8").read()
-    match = re.search(rf"struct {struct} \{{(.*?)\n\}};", text, re.DOTALL)
-    if not match:
-        sys.exit(f"{path}: could not find 'struct {struct}'")
-    body = match.group(1)
-    # Stop at the first member function; fields are declared before them.
-    body = body.split(f"{struct}& operator+=")[0]
-    fields = re.findall(r"std::uint64_t (\w+) = 0;", body)
-    if not fields:
-        sys.exit(f"{path}: no counter fields matched in {struct}")
-    return set(fields)
+def read(path: pathlib.Path) -> str:
+    return path.read_text(encoding="utf-8")
 
 
-def imbalance_fields(path: str) -> set[str]:
-    """Keys the `imbalance` JSON object emits (append_imbalance_json)."""
-    text = open(path, encoding="utf-8").read()
-    match = re.search(
-        r"void append_imbalance_json\(.*?\n\}", text, re.DOTALL)
-    if not match:
-        sys.exit(f"{path}: could not find append_imbalance_json")
-    body = match.group(0)
-    names = set(re.findall(r'field\("(\w+)"', body))
-    names |= set(re.findall(r'\\"(\w+)\\":', body))  # hand-emitted keys
+def table_rows(path: pathlib.Path, macro: str) -> list[str]:
+    """Counter names, in order, from the `#define macro(X)` table rows."""
+    match = re.search(rf"#define {macro}\(X\)(.*?)\n\n", read(path),
+                      re.DOTALL)
+    names = re.findall(r"^\s*X\((\w+),", match.group(1), re.MULTILINE) \
+        if match else []
     if not names:
-        sys.exit(f"{path}: no emitted fields matched in append_imbalance_json")
+        sys.exit(f"{path}: no X(name, help) rows found in {macro}")
     return names
 
 
-def engine_latency_fields(path: str) -> set[str]:
-    """Keys the `engine_latency` record emits (append_engine_latency_json)."""
-    text = open(path, encoding="utf-8").read()
-    match = re.search(
-        r"void append_engine_latency_json\(.*?\n\}", text, re.DOTALL)
+def emitted_keys(path: pathlib.Path, function: str) -> set[str]:
+    """Keys a hand-written JSON emitter writes (field("k", ...) calls and
+    literal \\"k\\": keys)."""
+    match = re.search(rf"void {function}\(.*?\n\}}", read(path), re.DOTALL)
     if not match:
-        sys.exit(f"{path}: could not find append_engine_latency_json")
+        sys.exit(f"{path}: could not find {function}")
     body = match.group(0)
     names = set(re.findall(r'field\("(\w+)"', body))
-    names |= set(re.findall(r'\\"(\w+)\\":', body))  # hand-emitted keys
+    names |= set(re.findall(r'\\"(\w+)\\":', body))
     if not names:
-        sys.exit(
-            f"{path}: no emitted fields matched in append_engine_latency_json")
+        sys.exit(f"{path}: no emitted keys matched in {function}")
     return names
 
 
-def doc_table(path: str, section: str) -> set[str]:
+def to_string_names(path: pathlib.Path, enum: str) -> set[str]:
+    """The names a `to_string(enum ...)` switch returns, minus its
+    unreachable default."""
+    match = re.search(rf"to_string\({enum} \w+\).*?\n\}}", read(path),
+                      re.DOTALL)
+    if not match:
+        sys.exit(f"{path}: could not find to_string({enum})")
+    names = set(re.findall(r'return "([a-z-]+)";', match.group(0)))
+    names -= {"?", "unknown"}
+    if not names:
+        sys.exit(f"{path}: no to_string({enum}) names matched")
+    return names
+
+
+def doc_table(path: pathlib.Path, section: str) -> set[str]:
     """Backticked names from the table rows under `section`."""
     names = set()
     in_section = False
-    for line in open(path, encoding="utf-8"):
+    for line in read(path).splitlines():
         if line.startswith("## "):
             in_section = line.strip() == section
             continue
-        if not in_section:
-            continue
         match = re.match(r"\|\s*`([\w-]+)`\s*\|", line)
-        if match:
+        if in_section and match:
             names.add(match.group(1))
     if not names:
         sys.exit(f"{path}: no table rows found under '{section}'")
     return names
 
 
-def fault_sites(path: str) -> set[str]:
-    """Site names from the to_string(FaultSite) table in fault.cpp."""
-    text = open(path, encoding="utf-8").read()
-    match = re.search(
-        r"const char\* to_string\(FaultSite site\).*?\n\}", text, re.DOTALL)
-    if not match:
-        sys.exit(f"{path}: could not find to_string(FaultSite)")
-    names = set(re.findall(r'return "([a-z-]+)";', match.group(0)))
-    names.discard("?")  # the unreachable default
-    if not names:
-        sys.exit(f"{path}: no fault site names matched")
-    return names
-
-
-def exporter_metric_names(path: str) -> set[str]:
-    """Every `tilq_`-prefixed metric name the exporter emits. The
-    implementation keeps metric names as its only tilq_-prefixed string
-    literals (diagnostics use a 'tilq telemetry:' prefix), so a literal
-    scrape is exact."""
-    text = open(path, encoding="utf-8").read()
-    names = set(re.findall(r'"(tilq_[a-z0-9_]+)"', text))
-    if not names:
-        sys.exit(f"{path}: no exporter metric names matched")
-    return names
-
-
-def flight_event_names(path: str) -> set[str]:
-    """Event names from the to_string(FlightEventKind) table."""
-    text = open(path, encoding="utf-8").read()
-    match = re.search(
-        r"to_string\(FlightEventKind kind\).*?\n\}", text, re.DOTALL)
-    if not match:
-        sys.exit(f"{path}: could not find to_string(FlightEventKind)")
-    names = set(re.findall(r'return "([a-z-]+)";', match.group(0)))
-    names.discard("unknown")  # the unreachable default
-    if not names:
-        sys.exit(f"{path}: no flight event names matched")
-    return names
-
-
-def defect_kinds(path: str) -> set[str]:
-    """Defect-kind strings from the to_string(DefectKind) table."""
-    text = open(path, encoding="utf-8").read()
-    match = re.search(
-        r"to_string\(DefectKind kind\).*?\n\}", text, re.DOTALL)
-    if not match:
-        sys.exit(f"{path}: could not find to_string(DefectKind)")
-    names = set(re.findall(r'return "([a-z-]+)";', match.group(0)))
-    names.discard("?")
-    if not names:
-        sys.exit(f"{path}: no defect kind names matched")
-    return names
-
-
-def check_robustness_doc(doc_path: str, fault_cpp: str,
-                         validate_hpp: str) -> bool:
-    """Every fault site, defect kind, degradation counter, and
-    resilience name (retry/brownout counters, the health gauge) the code
-    defines must be named (backticked) in docs/ROBUSTNESS.md."""
-    doc = open(doc_path, encoding="utf-8").read()
-    documented = set(re.findall(r"`([\w-]+)`", doc))
-    required = fault_sites(fault_cpp) | defect_kinds(validate_hpp)
-    required |= {"accum_rehashes", "accum_degrades"}
-    required |= {"engine_retries", "engine_brownouts", "tilq_engine_health"}
-    missing = sorted(required - documented)
-    if missing:
-        print(f"names missing from {doc_path}:")
-        for name in missing:
-            print(f"  {name}")
-    return bool(missing)
+def doc_mentions(path: pathlib.Path) -> set[str]:
+    """Every backticked span anywhere in the doc, and every word inside
+    one. Fenced code blocks are dropped: they flip the inline-span parity,
+    and identifiers must be named in prose, not just shown in examples."""
+    text = re.sub(r"```.*?```", " ", read(path), flags=re.DOTALL)
+    mentions = set()
+    for span in re.findall(r"`([^`]+)`", text):
+        mentions |= {span} | set(re.findall(r"\w+", span))
+    return mentions
 
 
 _SKIP_NAMES = {"operator", "static_assert", "require", "return", "if",
                "switch", "for", "while", "throw", "sizeof", "decltype"}
 
 
-def public_symbols(path: str) -> set[str]:
+def public_symbols(path: pathlib.Path) -> set[str]:
     """Public API names declared in a header: namespace-scope classes,
     structs, free functions, and the public members of those classes
     (methods, nested types, `using X =` aliases). Private/protected
@@ -217,7 +134,7 @@ def public_symbols(path: str) -> set[str]:
                 return False
         return True
 
-    for raw in open(path, encoding="utf-8"):
+    for raw in read(path).splitlines():
         line = raw.split("//")[0].rstrip()
         stripped = line.strip()
         top = stack[-1] if stack else None
@@ -259,195 +176,124 @@ def public_symbols(path: str) -> set[str]:
     return names
 
 
-def doc_mentions(path: str) -> set[str]:
-    """Every backticked word anywhere in the doc (prose or tables)."""
-    text = open(path, encoding="utf-8").read()
-    # Fenced code blocks would flip the inline-span parity; drop them
-    # (identifiers must be named in prose, not just shown in examples).
-    text = re.sub(r"```.*?```", " ", text, flags=re.DOTALL)
-    mentions = set()
-    for span in re.findall(r"`([^`]+)`", text):
-        mentions |= set(re.findall(r"\w+", span))
-    return mentions
+class Lint:
+    def __init__(self, root: pathlib.Path):
+        self.root = root
+        self.bad = False
 
+    def rel(self, path: pathlib.Path) -> str:
+        return str(path.relative_to(self.root))
 
-def header_schema_version(path: str) -> int:
-    text = open(path, encoding="utf-8").read()
-    match = re.search(r"kMetricsSchemaVersion = (\d+);", text)
-    if not match:
-        sys.exit(f"{path}: could not find kMetricsSchemaVersion")
-    return int(match.group(1))
+    def report(self, title: str, names: set[str]) -> None:
+        if names:
+            print(f"{title}:")
+            for name in sorted(names):
+                print(f"  {name}")
+            self.bad = True
 
+    def same(self, kind: str, code: set[str], doc: pathlib.Path,
+             section: str) -> None:
+        """The doc table under `section` lists exactly `code`."""
+        documented = doc_table(doc, section)
+        self.report(f"{kind} missing from {self.rel(doc)}",
+                    code - documented)
+        self.report(f"{kind} documented in {self.rel(doc)} but absent "
+                    "from the code", documented - code)
 
-def doc_schema_versions(path: str) -> set[int]:
-    """Every version number the doc claims, prose and JSON example alike."""
-    text = open(path, encoding="utf-8").read()
-    claims = re.findall(r"schema version (\d+)", text)
-    claims += re.findall(r'"tilq_metrics":(\d+)', text)
-    if not claims:
-        sys.exit(f"{path}: no schema version claims found")
-    return {int(v) for v in claims}
-
-
-def diff(kind: str, code: set[str], doc: set[str], doc_path: str,
-         code_path: str) -> bool:
-    undocumented = sorted(code - doc)
-    phantom = sorted(doc - code)
-    if undocumented:
-        print(f"{kind} missing from {doc_path}:")
-        for name in undocumented:
-            print(f"  {name}")
-    if phantom:
-        print(f"{kind} documented in {doc_path} but absent from {code_path}:")
-        for name in phantom:
-            print(f"  {name}")
-    return bool(undocumented or phantom)
+    def named(self, kind: str, required: set[str],
+              doc: pathlib.Path) -> None:
+        """The doc names (backticks) every one of `required`."""
+        self.report(f"{kind} missing from {self.rel(doc)}",
+                    required - doc_mentions(doc))
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--header", default="src/support/metrics.hpp")
-    parser.add_argument("--perf-header", default="src/support/perf.hpp")
-    parser.add_argument("--impl", default="src/support/metrics.cpp")
-    parser.add_argument("--doc", default="docs/METRICS.md")
-    parser.add_argument("--fault-impl", default="src/support/fault.cpp")
-    parser.add_argument("--validate-header",
-                        default="src/sparse/validate.hpp")
-    parser.add_argument("--robustness-doc", default="docs/ROBUSTNESS.md")
-    parser.add_argument("--engine-header", default="src/core/engine.hpp")
-    parser.add_argument("--thread-pool-header",
-                        default="src/support/thread_pool.hpp")
-    parser.add_argument("--concurrency-doc", default="docs/CONCURRENCY.md")
-    parser.add_argument("--serving-doc", default="docs/SERVING.md")
-    parser.add_argument("--telemetry-impl",
-                        default="src/support/telemetry.cpp")
-    parser.add_argument("--telemetry-header",
-                        default="src/support/telemetry.hpp")
-    parser.add_argument("--telemetry-doc", default=None,
-                        help="docs/TELEMETRY.md; enables the exporter/"
-                             "flight-record/API checks when given")
-    parser.add_argument("--autotune-header", default="src/core/autotune.hpp")
-    parser.add_argument("--tuning-doc", default=None,
-                        help="docs/TUNING.md; enables the autotune counter "
-                             "table and API checks when given")
-    args = parser.parse_args()
+    parser.add_argument("--root", default=".",
+                        help="repository root to check")
+    root = pathlib.Path(parser.parse_args().root).resolve()
+    src = root / "src"
+    docs = root / "docs"
+    lint = Lint(root)
 
-    bad = False
-    counters = struct_fields(args.header, "MetricCounters")
-    bad |= diff("counters", counters, doc_table(args.doc, "## Counters"),
-                args.doc, args.header)
-
-    hw = struct_fields(args.perf_header, "HwCounters")
-    bad |= diff("hw counters", hw,
-                doc_table(args.doc, "## Hardware counters"),
-                args.doc, args.perf_header)
-
-    imbalance = imbalance_fields(args.impl)
-    bad |= diff("imbalance fields", imbalance,
-                doc_table(args.doc, "## Load imbalance"),
-                args.doc, args.impl)
-
-    version = header_schema_version(args.header)
-    claimed = doc_schema_versions(args.doc)
-    if claimed != {version}:
-        print(f"schema version mismatch: {args.header} declares {version}, "
-              f"{args.doc} claims {sorted(claimed)}")
-        bad = True
-
-    bad |= check_robustness_doc(args.robustness_doc, args.fault_impl,
-                                args.validate_header)
-
+    counters = set(table_rows(src / "support/metrics.hpp",
+                              "TILQ_METRIC_COUNTERS"))
+    hw = set(table_rows(src / "support/perf.hpp", "TILQ_HW_COUNTERS"))
+    metrics_cpp = src / "support/metrics.cpp"
+    imbalance = emitted_keys(metrics_cpp, "append_imbalance_json")
+    latency = emitted_keys(metrics_cpp, "append_engine_latency_json")
     engine_counters = {c for c in counters if c.startswith("engine_")}
-    bad |= diff("engine counters", engine_counters,
-                doc_table(args.concurrency_doc,
-                          "## Engine counters (metrics schema v3)"),
-                args.concurrency_doc, args.header)
 
-    api = (public_symbols(args.engine_header)
-           | public_symbols(args.thread_pool_header))
-    undocumented = sorted(api - doc_mentions(args.concurrency_doc))
-    if undocumented:
-        print(f"public engine/thread-pool symbols missing from "
-              f"{args.concurrency_doc}:")
-        for name in undocumented:
-            print(f"  {name}")
-        bad = True
+    metrics_doc = docs / "METRICS.md"
+    lint.same("counters", counters, metrics_doc, "## Counters")
+    lint.same("hw counters", hw, metrics_doc, "## Hardware counters")
+    lint.same("imbalance fields", imbalance, metrics_doc, "## Load imbalance")
+    version = re.search(r"kMetricsSchemaVersion = (\d+);",
+                        read(src / "support/metrics.hpp"))
+    text = read(metrics_doc)
+    claimed = set(re.findall(r"schema version (\d+)", text))
+    claimed |= set(re.findall(r'"tilq_metrics":(\d+)', text))
+    if not version or claimed != {version.group(1)}:
+        print(f"schema version mismatch: the header declares "
+              f"{version and version.group(1)}, {lint.rel(metrics_doc)} "
+              f"claims {sorted(claimed)}")
+        lint.bad = True
 
-    latency = engine_latency_fields(args.impl)
-    bad |= diff("engine_latency fields", latency,
-                doc_table(args.serving_doc,
-                          "## Latency record fields (metrics schema v3)"),
-                args.serving_doc, args.impl)
+    fault_sites = to_string_names(src / "support/fault.cpp", "FaultSite")
+    defects = to_string_names(src / "sparse/validate.hpp", "DefectKind")
+    lint.named("robustness names",
+               fault_sites | defects
+               | {"accum_rehashes", "accum_degrades", "engine_retries",
+                  "engine_brownouts", "tilq_engine_health"},
+               docs / "ROBUSTNESS.md")
 
-    # The health gauge rides along with the engine counters: the
-    # operator runbook must name it, or a 503 from /healthz has no
-    # documented metric to pivot to.
-    serving_required = engine_counters | {"tilq_engine_health"}
-    serving_gaps = sorted(serving_required - doc_mentions(args.serving_doc))
-    if serving_gaps:
-        print(f"engine counters missing from {args.serving_doc}:")
-        for name in serving_gaps:
-            print(f"  {name}")
-        bad = True
+    concurrency_doc = docs / "CONCURRENCY.md"
+    lint.same("engine counters", engine_counters, concurrency_doc,
+              "## Engine counters (metrics schema v3)")
+    engine_api = (public_symbols(src / "core/engine.hpp")
+                  | public_symbols(src / "support/thread_pool.hpp"))
+    lint.named("public engine/thread-pool symbols", engine_api,
+               concurrency_doc)
 
-    exporter = set()
-    events = set()
-    telemetry_api = set()
-    if args.telemetry_doc:
-        exporter = exporter_metric_names(args.telemetry_impl)
-        bad |= diff("exporter metrics", exporter,
-                    doc_table(args.telemetry_doc, "## Exporter metrics"),
-                    args.telemetry_doc, args.telemetry_impl)
+    serving_doc = docs / "SERVING.md"
+    lint.same("engine_latency fields", latency, serving_doc,
+              "## Latency record fields (metrics schema v3)")
+    # The health gauge rides along with the engine counters: the operator
+    # runbook must name it, or a 503 from /healthz has no documented
+    # metric to pivot to.
+    lint.named("engine counters", engine_counters | {"tilq_engine_health"},
+               serving_doc)
 
-        events = flight_event_names(args.telemetry_impl)
-        bad |= diff("flight events", events,
-                    doc_table(args.telemetry_doc, "## Flight-record events"),
-                    args.telemetry_doc, args.telemetry_impl)
+    telemetry_cpp = src / "support/telemetry.cpp"
+    telemetry_doc = docs / "TELEMETRY.md"
+    exporter = set(re.findall(r'"(tilq_[a-z0-9_]+)"', read(telemetry_cpp)))
+    exporter |= {f"tilq_{name}" for name in counters}
+    lint.same("exporter metrics", exporter, telemetry_doc,
+              "## Exporter metrics")
+    events = to_string_names(telemetry_cpp, "FlightEventKind")
+    lint.same("flight events", events, telemetry_doc,
+              "## Flight-record events")
+    telemetry_api = public_symbols(src / "support/telemetry.hpp")
+    lint.named("public telemetry symbols", telemetry_api, telemetry_doc)
 
-        telemetry_api = public_symbols(args.telemetry_header)
-        telemetry_gaps = sorted(telemetry_api
-                                - doc_mentions(args.telemetry_doc))
-        if telemetry_gaps:
-            print(f"public telemetry symbols missing from "
-                  f"{args.telemetry_doc}:")
-            for name in telemetry_gaps:
-                print(f"  {name}")
-            bad = True
+    tuning_doc = docs / "TUNING.md"
+    autotune_counters = {c for c in counters if c.startswith("autotune_")}
+    lint.same("autotune counters", autotune_counters, tuning_doc,
+              "## Autotune counters")
+    autotune_api = public_symbols(src / "core/autotune.hpp")
+    lint.named("public autotune symbols", autotune_api, tuning_doc)
 
-    autotune_counters = set()
-    autotune_api = set()
-    if args.tuning_doc:
-        autotune_counters = {c for c in counters
-                             if c.startswith("autotune_")}
-        bad |= diff("autotune counters", autotune_counters,
-                    doc_table(args.tuning_doc, "## Autotune counters"),
-                    args.tuning_doc, args.header)
-
-        autotune_api = public_symbols(args.autotune_header)
-        tuning_gaps = sorted(autotune_api - doc_mentions(args.tuning_doc))
-        if tuning_gaps:
-            print(f"public autotune symbols missing from "
-                  f"{args.tuning_doc}:")
-            for name in tuning_gaps:
-                print(f"  {name}")
-            bad = True
-
-    if bad:
+    if lint.bad:
         return 1
-    summary = (f"ok: {len(counters)} counters, {len(hw)} hw fields, "
-               f"{len(imbalance)} imbalance fields, schema v{version}, "
-               f"{len(fault_sites(args.fault_impl))} fault sites and "
-               f"{len(defect_kinds(args.validate_header))} defect kinds, "
-               f"{len(api)} engine/pool symbols and {len(latency)} "
-               "engine_latency fields documented")
-    if args.telemetry_doc:
-        summary += (f"; {len(exporter)} exporter metrics, {len(events)} "
-                    f"flight events and {len(telemetry_api)} telemetry "
-                    "symbols documented")
-    if args.tuning_doc:
-        summary += (f"; {len(autotune_counters)} autotune counters and "
-                    f"{len(autotune_api)} autotune symbols documented")
-    print(summary + "; code and docs consistent")
+    print(f"ok: {len(counters)} counters, {len(hw)} hw fields, "
+          f"{len(imbalance)} imbalance fields, schema v{version.group(1)}, "
+          f"{len(fault_sites)} fault sites and {len(defects)} defect kinds, "
+          f"{len(engine_api)} engine/pool symbols, {len(latency)} "
+          f"engine_latency fields, {len(exporter)} exporter metrics, "
+          f"{len(events)} flight events, {len(telemetry_api)} telemetry "
+          f"symbols, {len(autotune_counters)} autotune counters and "
+          f"{len(autotune_api)} autotune symbols documented; code and docs "
+          "consistent")
     return 0
 
 
