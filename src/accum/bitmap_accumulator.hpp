@@ -37,7 +37,10 @@ class BitmapAccumulator {
     }
   }
 
-  bool accumulate(I col, value_type product) noexcept {
+  /// Always inlined, like DenseAccumulator::accumulate: it is the innermost
+  /// call of the bitmap kernels, and GCC otherwise drops the inlining once a
+  /// translation unit reaches its inline-unit-growth budget.
+  [[gnu::always_inline]] bool accumulate(I col, value_type product) noexcept {
     if (!test_bit(masked_bits_, col)) {
 #if TILQ_METRICS_ENABLED
       ++counters_.rejects;

@@ -94,7 +94,10 @@ class HashAccumulator {
   }
 
   /// Adds `product` into the slot for `col` iff the mask allows it.
-  bool accumulate(I col, value_type product) noexcept {
+  /// Always inlined, like DenseAccumulator::accumulate: it is the innermost
+  /// call of the hash kernels, and GCC otherwise drops the inlining once a
+  /// translation unit reaches its inline-unit-growth budget.
+  [[gnu::always_inline]] bool accumulate(I col, value_type product) noexcept {
     const std::size_t slot = find(col);
     if (slot == kNotFound) {
 #if TILQ_METRICS_ENABLED

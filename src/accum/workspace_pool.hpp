@@ -38,8 +38,21 @@ struct WorkspacePoolStats {
   std::uint64_t retunes = 0;        ///< rebuilds forced by a capability bump
 };
 
+/// The type-erased face of a WorkspacePool: what the Executor and the
+/// Engine need without knowing the accumulator type.
+class WorkspacePoolBase {
+ public:
+  WorkspacePoolBase() = default;
+  WorkspacePoolBase(const WorkspacePoolBase&) = delete;
+  WorkspacePoolBase& operator=(const WorkspacePoolBase&) = delete;
+  virtual ~WorkspacePoolBase() = default;
+  [[nodiscard]] virtual WorkspacePoolStats stats() const = 0;
+  /// Drops every pooled workspace (see WorkspacePool::release).
+  virtual void release() = 0;
+};
+
 template <class Acc>
-class WorkspacePool {
+class WorkspacePool final : public WorkspacePoolBase {
  public:
   /// Ensures a slot exists for thread numbers [0, threads). Never shrinks:
   /// a later smaller team keeps the extra warm slots around.
@@ -97,7 +110,7 @@ class WorkspacePool {
   /// pool's lifetime, not its current contents). Releases the slots' byte
   /// charges. Like reserve(), NOT safe against in-flight acquires: the
   /// engine calls this only while no job is in flight.
-  void release() {
+  void release() override {
     for (Slot& slot : slots_) {
       slot.acc.reset();
       slot.capability = 0;
@@ -108,7 +121,7 @@ class WorkspacePool {
     }
   }
 
-  [[nodiscard]] WorkspacePoolStats stats() const {
+  [[nodiscard]] WorkspacePoolStats stats() const override {
     WorkspacePoolStats total;
     for (const Slot& slot : slots_) {
       total.acquisitions +=

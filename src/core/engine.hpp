@@ -493,8 +493,8 @@ class Engine {
     s.tasks_stolen = pool.stolen;
     {
       const std::lock_guard<std::mutex> lock(pools_mutex_);
-      for (const auto& stats_fn : pool_stats_fns_) {
-        const WorkspacePoolStats w = stats_fn();
+      for (const auto& [type, workspaces] : pools_) {
+        const WorkspacePoolStats w = workspaces->stats();
         s.workspace.acquisitions += w.acquisitions;
         s.workspace.constructions += w.constructions;
         s.workspace.retunes += w.retunes;
@@ -521,7 +521,7 @@ class Engine {
     const Csr<T, I>* b = nullptr;
     std::shared_ptr<const PlanEntry> entry;
     std::unique_ptr<detail::DriverBuffers<T, I>> buffers;
-    std::once_flag buffers_once;  ///< first task binds `buffers`
+    std::mutex buffers_mutex;  ///< guards the first-use bind of `buffers`
     std::int64_t task_count = 0;
     std::atomic<std::int64_t> remaining{0};
     ParallelGuard guard;
@@ -805,7 +805,9 @@ class Engine {
     entry->plan = detail::build_plan(mask, a, b, config);
     entry->config = config;
     entry->plan.info.build_ms = build.milliseconds();
-    bind_entry(*entry);
+    detail::dispatch_workspace<SR, I>(
+        config, entry->plan.is_blocked(),
+        [&](auto tag) { entry->run_task = task_runner(tag); });
     ++plan_builds_;
     plans_.push_back(entry);
     if (plans_.size() > std::max<std::size_t>(1, options_.plan_cache_capacity)) {
@@ -839,19 +841,11 @@ class Engine {
     job->max_attempts = std::max(
         1, sopts.max_attempts > 0 ? sopts.max_attempts
                                   : options_.retry.max_attempts);
-    const Plan<I>& plan = job->entry->plan;
-    // Cells per row tile: column blocks (blocked), column tiles (2D), 1 (1D).
-    job->task_count = static_cast<std::int64_t>(plan.row_tiles.size() *
-                                                plan.cells_per_row_tile());
     // Driver buffers are NOT acquired here: binding is deferred to the
     // first task (bind_buffers) so the number of live scratch sets tracks
     // the worker count, not the admission window. Acquiring at submit
     // would materialize max_in_flight nnz-sized buffer sets that evict
     // each other from cache while most of them sit queued.
-    // Even a zero-tile job runs one finalizer task so completion always
-    // happens on the pool, never inline in submit().
-    job->remaining.store(std::max<std::int64_t>(1, job->task_count),
-                         std::memory_order_relaxed);
 #if TILQ_METRICS_ENABLED
     if (MetricCounters* const counters = metrics_thread_counters()) {
       counters->engine_queue_depth += static_cast<std::uint64_t>(depth);
@@ -865,14 +859,30 @@ class Engine {
                                   static_cast<int>(lane), job->flop_estimate);
     }
     job->since_submit.reset();
-    if (job->task_count == 0) {
-      pool_.submit([this, job] { run_task(job, -1); }, lane);
-    } else {
-      for (std::int64_t task = 0; task < job->task_count; ++task) {
-        pool_.submit([this, job, task] { run_task(job, task); }, lane);
-      }
-    }
+    enqueue_attempt(job);
     return JobHandle(std::move(job));
+  }
+
+  /// Queues one attempt of `job`: one task per tile of its current plan,
+  /// or a lone finalizer task for a zero-tile plan, so completion always
+  /// happens on the pool, never inline in submit(). The loop runs on a
+  /// local copy of the task count: once the first task is queued it may
+  /// finish the attempt, and a retry rewrites Job::task_count.
+  void enqueue_attempt(const std::shared_ptr<Job>& job) {
+    const Plan<I>& plan = job->entry->plan;
+    // Cells per row tile: column blocks (blocked), column tiles (2D), 1 (1D).
+    const auto task_count = static_cast<std::int64_t>(
+        plan.row_tiles.size() * plan.cells_per_row_tile());
+    job->task_count = task_count;
+    job->remaining.store(std::max<std::int64_t>(1, task_count),
+                         std::memory_order_relaxed);
+    if (task_count == 0) {
+      pool_.submit([this, job] { run_task(job, -1); }, job->lane);
+      return;
+    }
+    for (std::int64_t task = 0; task < task_count; ++task) {
+      pool_.submit([this, job, task] { run_task(job, task); }, job->lane);
+    }
   }
 
   /// Body of every pool task: one tile (task >= 0), then whoever finishes
@@ -919,29 +929,34 @@ class Engine {
     }
   }
 
-  /// Binds the job's driver buffers on first use, from any worker.
-  /// Allocation failures surface through the caller's ParallelGuard wrap
-  /// (an exceptional std::call_once leaves the flag unset, which is fine:
-  /// every later attempt is equally guarded).
+  /// Binds the job's driver buffers on first use, from any worker. A
+  /// mutex and a null check, not std::call_once: an allocation failure
+  /// here is an expected, retryable CapacityError, and a call_once whose
+  /// callable throws is not reliably re-armed (it hangs the next caller
+  /// under TSan with GCC 12). `buffers` is published only once sized, so
+  /// a failed bind leaves it null for the next task or attempt to redo.
   void bind_buffers(Job& job) {
-    std::call_once(job.buffers_once, [&] {
-      job.buffers = acquire_buffers();
-      ensure_buffers_for(job, job.entry->plan);
-    });
+    const std::lock_guard<std::mutex> lock(job.buffers_mutex);
+    if (job.buffers == nullptr) {
+      auto buffers = acquire_buffers();
+      ensure_buffers_for(*buffers, *job.mask, job.entry->plan);
+      job.buffers = std::move(buffers);
+    }
   }
 
-  /// (Re)sizes the job's bound driver buffers for `plan`, charging the
-  /// governor for any capacity growth. ensure() only grows, so this is
-  /// safe to call again after a retry replan swapped the job's plan.
-  void ensure_buffers_for(Job& job, const Plan<I>& plan) {
+  /// (Re)sizes driver buffers for `plan`, charging the governor for any
+  /// capacity growth. ensure() only grows, so this is safe to call again
+  /// after a retry replan swapped the job's plan.
+  void ensure_buffers_for(detail::DriverBuffers<T, I>& buffers,
+                          const Csr<T, I>& mask, const Plan<I>& plan) {
     const bool celled = plan.two_dimensional() || plan.is_blocked();
-    const std::uint64_t before = buffer_bytes(*job.buffers);
-    job.buffers->ensure(
-        static_cast<std::size_t>(job.mask->nnz()),
+    const std::uint64_t before = buffer_bytes(buffers);
+    buffers.ensure(
+        static_cast<std::size_t>(mask.nnz()),
         static_cast<std::size_t>(plan.rows),
         celled ? static_cast<std::size_t>(plan.rows) * plan.cells_per_row_tile()
                : 0);
-    const std::uint64_t after = buffer_bytes(*job.buffers);
+    const std::uint64_t after = buffer_bytes(buffers);
     if (after > before) {
       governor_.charge(after - before);
     }
@@ -1075,101 +1090,15 @@ class Engine {
     job->cv.notify_all();
   }
 
-  /// Resolves the (marker width x accumulator kind) dispatch for a new
-  /// plan entry — the engine-side analogue of Executor::bind_dispatch.
-  void bind_entry(PlanEntry& entry) {
-    switch (entry.config.marker_width) {
-      case MarkerWidth::k8:
-        bind_entry_marker<std::uint8_t>(entry);
-        return;
-      case MarkerWidth::k16:
-        bind_entry_marker<std::uint16_t>(entry);
-        return;
-      case MarkerWidth::k32:
-        bind_entry_marker<std::uint32_t>(entry);
-        return;
-      case MarkerWidth::k64:
-        bind_entry_marker<std::uint64_t>(entry);
-        return;
-    }
-    require(false, "Engine: invalid marker width");
-  }
-
-  template <class Marker>
-  void bind_entry_marker(PlanEntry& entry) {
-    if (entry.plan.is_blocked()) {
-      // Blocked plans run on a BlockedWorkspace (block-width dense + the
-      // configured sparse-tile accumulator) — same dispatch as
-      // Executor::bind_blocked_runner.
-      switch (entry.config.accumulator) {
-        case AccumulatorKind::kDense:
-          bind_blocked_entry<Marker, DenseAccumulator<SR, I, Marker>>(entry);
-          return;
-        case AccumulatorKind::kBitmap:
-          bind_blocked_entry<Marker, BitmapAccumulator<SR, I>>(entry);
-          return;
-        case AccumulatorKind::kHash:
-          bind_blocked_entry<Marker, HashAccumulator<SR, I, Marker>>(entry);
-          return;
-      }
-      require(false, "Engine: invalid accumulator kind");
-    }
-    switch (entry.config.accumulator) {
-      case AccumulatorKind::kDense:
-        bind_entry_runner<DenseAccumulator<SR, I, Marker>>(
-            entry,
-            [](const Plan<I>& p, const Config& c) {
-              return DenseAccumulator<SR, I, Marker>(p.cols, c.reset);
-            },
-            [](const Plan<I>& p) {
-              return static_cast<std::uint64_t>(p.cols);
-            });
-        return;
-      case AccumulatorKind::kBitmap:
-        bind_entry_runner<BitmapAccumulator<SR, I>>(
-            entry,
-            [](const Plan<I>& p, const Config&) {
-              return BitmapAccumulator<SR, I>(p.cols);
-            },
-            [](const Plan<I>& p) {
-              return static_cast<std::uint64_t>(p.cols);
-            });
-        return;
-      case AccumulatorKind::kHash:
-        bind_entry_runner<HashAccumulator<SR, I, Marker>>(
-            entry,
-            [](const Plan<I>& p, const Config& c) {
-              return HashAccumulator<SR, I, Marker>(p.accumulator_bound,
-                                                    c.reset);
-            },
-            [](const Plan<I>& p) {
-              return static_cast<std::uint64_t>(p.accumulator_bound);
-            });
-        return;
-    }
-    require(false, "Engine: invalid accumulator kind");
-  }
-
-  template <class Marker, class SparseAcc>
-  void bind_blocked_entry(PlanEntry& entry) {
-    using Ws = BlockedWorkspace<SR, I, Marker, SparseAcc>;
-    bind_entry_runner<Ws>(
-        entry,
-        [](const Plan<I>& p, const Config& c) {
-          return Ws(p.blocked->block_width, p.accumulator_bound, c.reset);
-        },
-        [](const Plan<I>& p) {
-          return Ws::capability(p.blocked->block_width, p.accumulator_bound);
-        });
-  }
-
-  template <class Acc, class Factory, class Capability>
-  void bind_entry_runner(PlanEntry& entry, Factory factory,
-                         Capability capability) {
+  /// The tile-task body of a plan entry whose workspace type is `Acc`
+  /// (picked by detail::dispatch_workspace), bound to the engine-wide pool
+  /// for that type.
+  template <class Acc>
+  [[nodiscard]] auto task_runner(std::type_identity<Acc>) {
+    using Traits = detail::WorkspaceTraits<Acc>;
     std::shared_ptr<WorkspacePool<Acc>> pool = pool_for<Acc>();
-    entry.run_task = [pool, factory, capability](const PlanEntry& e, Job& job,
-                                                 std::int64_t task,
-                                                 int worker) {
+    return [pool](const PlanEntry& e, Job& job, std::int64_t task,
+                  int worker) {
       job.guard.run([&] {
         WallTimer busy;
         // Engine-level fault sites (docs/ROBUSTNESS.md). plan-fingerprint
@@ -1187,12 +1116,12 @@ class Engine {
               "Engine: workspace reservation failed (injected fault: "
               "engine-pool-reserve)");
         }
-        const std::uint64_t cap = capability(e.plan);
-        // The governor charge is an estimate: capability units x element
+        // The governor charge is an estimate: workspace slots x element
         // footprint. Good enough for a brownout trip point.
-        Acc& acc = pool->acquire(worker, cap,
-                                 [&] { return factory(e.plan, e.config); },
-                                 cap * (sizeof(T) + sizeof(I)));
+        Acc& acc = pool->acquire(
+            worker, Traits::capability(e.plan),
+            [&] { return Traits::make(e.plan, e.config); },
+            Traits::slots(e.plan) * (sizeof(T) + sizeof(I)));
         // Runtime-disabled metrics skip every accounting step below.
         MetricCounters* const tc = metrics_thread_counters();
         const AccumulatorCounters at_entry =
@@ -1224,13 +1153,12 @@ class Engine {
   template <class Acc>
   std::shared_ptr<WorkspacePool<Acc>> pool_for() {
     const std::lock_guard<std::mutex> lock(pools_mutex_);
-    std::shared_ptr<void>& slot = pools_[std::type_index(typeid(Acc))];
+    std::shared_ptr<WorkspacePoolBase>& slot =
+        pools_[std::type_index(typeid(Acc))];
     if (slot == nullptr) {
       auto pool = std::make_shared<WorkspacePool<Acc>>();
       pool->set_governor(&governor_);
       pool->reserve(pool_.size());
-      pool_stats_fns_.push_back([pool] { return pool->stats(); });
-      pool_release_fns_.push_back([pool] { pool->release(); });
       slot = pool;
     }
     return std::static_pointer_cast<WorkspacePool<Acc>>(slot);
@@ -1442,8 +1370,8 @@ class Engine {
       return;  // pool slots may be acquired by running tiles
     }
     const std::lock_guard<std::mutex> pools_lock(pools_mutex_);
-    for (const auto& release_fn : pool_release_fns_) {
-      release_fn();
+    for (const auto& [type, pool] : pools_) {
+      pool->release();
     }
   }
 
@@ -1613,7 +1541,7 @@ class Engine {
       if (job->buffers != nullptr) {
         // Re-ensure now, before any job state mutates, so an allocation
         // failure here cannot leave a half-retried job behind.
-        ensure_buffers_for(*job, fresh->plan);
+        ensure_buffers_for(*job->buffers, *job->mask, fresh->plan);
       }
     } catch (...) {
       return false;
@@ -1642,13 +1570,8 @@ class Engine {
     job->degrades.store(0, std::memory_order_relaxed);
     job->entry = std::move(fresh);
     job->flop_estimate = job->entry->plan.flop_total;
-    const Plan<I>& plan = job->entry->plan;
-    job->task_count = static_cast<std::int64_t>(plan.row_tiles.size() *
-                                                plan.cells_per_row_tile());
-    job->remaining.store(std::max<std::int64_t>(1, job->task_count),
-                         std::memory_order_relaxed);
     const double delay_ms =
-        backoff_ms(plan.info.fingerprint, next_attempt);
+        backoff_ms(job->entry->plan.info.fingerprint, next_attempt);
     if (delay_ms > 0.0) {
       job->backoff_total_ms += delay_ms;
       // Sleeping occupies this worker for up to backoff_cap_ms; accepted
@@ -1656,13 +1579,7 @@ class Engine {
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(delay_ms));
     }
-    if (job->task_count == 0) {
-      pool_.submit([this, job] { run_task(job, -1); }, job->lane);
-    } else {
-      for (std::int64_t task = 0; task < job->task_count; ++task) {
-        pool_.submit([this, job, task] { run_task(job, task); }, job->lane);
-      }
-    }
+    enqueue_attempt(job);
     return true;
   }
 
@@ -1695,9 +1612,7 @@ class Engine {
   std::uint64_t plan_hits_ = 0;
 
   mutable std::mutex pools_mutex_;
-  std::map<std::type_index, std::shared_ptr<void>> pools_;
-  std::vector<std::function<WorkspacePoolStats()>> pool_stats_fns_;
-  std::vector<std::function<void()>> pool_release_fns_;  ///< reclaim hooks
+  std::map<std::type_index, std::shared_ptr<WorkspacePoolBase>> pools_;
 
   // --- Resilience (docs/ROBUSTNESS.md)
   HealthMonitor health_;

@@ -36,7 +36,7 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <typeinfo>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -773,20 +773,128 @@ Csr<T, I> compact_planned(const Plan<I>& plan, const Csr<T, I>& mask,
                    std::move(out_cols), std::move(out_vals));
 }
 
+/// Per-workspace-type facts, defined once for every caller: make() builds
+/// one workspace for a plan, capability() is its WorkspacePool rebuild key
+/// (a resident workspace is reused while its key covers the request), and
+/// slots() is its element footprint, which the engine's memory governor
+/// charges at sizeof(T) + sizeof(I) bytes per slot.
+template <class Acc>
+struct WorkspaceTraits;
+
+template <Semiring SR, class I, class Marker>
+struct WorkspaceTraits<DenseAccumulator<SR, I, Marker>> {
+  static DenseAccumulator<SR, I, Marker> make(const Plan<I>& p,
+                                              const Config& c) {
+    return DenseAccumulator<SR, I, Marker>(p.cols, c.reset);
+  }
+  static std::uint64_t capability(const Plan<I>& p) noexcept {
+    return static_cast<std::uint64_t>(p.cols);
+  }
+  static std::uint64_t slots(const Plan<I>& p) noexcept {
+    return capability(p);
+  }
+};
+
+/// 1-bit flags: the marker width and reset policy are fixed by the
+/// representation (explicit reset only).
+template <Semiring SR, class I>
+struct WorkspaceTraits<BitmapAccumulator<SR, I>> {
+  static BitmapAccumulator<SR, I> make(const Plan<I>& p, const Config&) {
+    return BitmapAccumulator<SR, I>(p.cols);
+  }
+  static std::uint64_t capability(const Plan<I>& p) noexcept {
+    return static_cast<std::uint64_t>(p.cols);
+  }
+  static std::uint64_t slots(const Plan<I>& p) noexcept {
+    return capability(p);
+  }
+};
+
+template <Semiring SR, class I, class Marker>
+struct WorkspaceTraits<HashAccumulator<SR, I, Marker>> {
+  static HashAccumulator<SR, I, Marker> make(const Plan<I>& p,
+                                             const Config& c) {
+    return HashAccumulator<SR, I, Marker>(p.accumulator_bound, c.reset);
+  }
+  static std::uint64_t capability(const Plan<I>& p) noexcept {
+    return static_cast<std::uint64_t>(p.accumulator_bound);
+  }
+  static std::uint64_t slots(const Plan<I>& p) noexcept {
+    return capability(p);
+  }
+};
+
+/// The blocked workspace: a block-width dense accumulator and DirectWindow
+/// plus the sparse-tile accumulator, sized by the block width (dense,
+/// bitmap) or the largest mask segment (hash). Its pool key packs
+/// (block width, segment bound) and is not a size, so slots() counts the
+/// three parts instead.
+template <Semiring SR, class I, class Marker, class SparseAcc>
+struct WorkspaceTraits<BlockedWorkspace<SR, I, Marker, SparseAcc>> {
+  using Ws = BlockedWorkspace<SR, I, Marker, SparseAcc>;
+  static Ws make(const Plan<I>& p, const Config& c) {
+    return Ws(p.blocked->block_width, p.accumulator_bound, c.reset);
+  }
+  static std::uint64_t capability(const Plan<I>& p) noexcept {
+    return Ws::capability(p.blocked->block_width, p.accumulator_bound);
+  }
+  static std::uint64_t slots(const Plan<I>& p) noexcept {
+    const auto width = static_cast<std::uint64_t>(p.blocked->block_width);
+    const std::uint64_t sparse =
+        std::is_same_v<SparseAcc, HashAccumulator<SR, I, Marker>>
+            ? static_cast<std::uint64_t>(p.accumulator_bound)
+            : width;
+    return 2 * width + sparse;
+  }
+};
+
+/// The one workspace dispatch (§III-C): resolves (Config::marker_width,
+/// Config::accumulator, blocked plan) to the concrete workspace type `Acc`
+/// and calls `bind(std::type_identity<Acc>{})`. A blocked plan wraps the
+/// configured accumulator as the sparse side of a BlockedWorkspace.
+template <Semiring SR, class I, class Bind>
+void dispatch_workspace(const Config& config, bool blocked, Bind&& bind) {
+  const auto with_marker = [&]<class Marker>(std::type_identity<Marker>) {
+    const auto pick = [&]<class Acc>(std::type_identity<Acc>) {
+      if (blocked) {
+        bind(std::type_identity<BlockedWorkspace<SR, I, Marker, Acc>>{});
+      } else {
+        bind(std::type_identity<Acc>{});
+      }
+    };
+    switch (config.accumulator) {
+      case AccumulatorKind::kDense:
+        return pick(std::type_identity<DenseAccumulator<SR, I, Marker>>{});
+      case AccumulatorKind::kBitmap:
+        return pick(std::type_identity<BitmapAccumulator<SR, I>>{});
+      case AccumulatorKind::kHash:
+        return pick(std::type_identity<HashAccumulator<SR, I, Marker>>{});
+    }
+    require(false, "plan: invalid accumulator kind");
+  };
+  switch (config.marker_width) {
+    case MarkerWidth::k8:
+      return with_marker(std::type_identity<std::uint8_t>{});
+    case MarkerWidth::k16:
+      return with_marker(std::type_identity<std::uint16_t>{});
+    case MarkerWidth::k32:
+      return with_marker(std::type_identity<std::uint32_t>{});
+    case MarkerWidth::k64:
+      return with_marker(std::type_identity<std::uint64_t>{});
+  }
+  require(false, "plan: invalid marker width");
+}
+
 /// The numeric phase (compute + compact) against a built plan. Handles the
 /// 1D, 2D, and blocked drivers; trace span names stay those of the original
 /// drivers ("spgemm.*" / "tile" when the plan is 1D, "spgemm2d.*" /
 /// "tile2d" when 2D) so existing trace consumers keep working; the blocked
-/// path adds "spgemmblk.*" / "tileblk".
-///
-/// `make` constructs one accumulator for the current plan+config;
-/// `capability` is the pool's rebuild key (columns for dense/bitmap, row
-/// bound for hash — see WorkspacePool).
-template <Semiring SR, class T, class I, class Acc, class MakeAcc>
+/// path adds "spgemmblk.*" / "tileblk". Per-thread workspaces come from
+/// `pool`, built and keyed by WorkspaceTraits<Acc>.
+template <Semiring SR, class T, class I, class Acc>
 Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
                           const Csr<T, I>& mask, const Csr<T, I>& a,
                           const Csr<T, I>& b, WorkspacePool<Acc>& pool,
-                          std::uint64_t capability, MakeAcc&& make,
                           DriverBuffers<T, I>& buffers,
                           ExecutionStats* stats) {
   const bool two_d = plan.two_dimensional();
@@ -837,7 +945,9 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
       Acc* acc = nullptr;
       AccumulatorCounters at_entry;
       guard.run([&] {
-        acc = &pool.acquire(thread_num, capability, make);
+        acc = &pool.acquire(
+            thread_num, WorkspaceTraits<Acc>::capability(plan),
+            [&] { return WorkspaceTraits<Acc>::make(plan, config); });
         at_entry = acc->counters();
       });
       // Saturated rows/cells re-run on a dense fallback with the same
@@ -922,7 +1032,8 @@ class Executor {
     WallTimer build;
     config_ = config;
     plan_ = detail::build_plan(mask, a, b, config);
-    bind_dispatch();
+    detail::dispatch_workspace<SR, I>(config_, plan_.is_blocked(),
+                                      [this](auto tag) { bind_runner(tag); });
     plan_.info.build_ms = build.milliseconds();
     planned_ = true;
   }
@@ -956,7 +1067,7 @@ class Executor {
 
   /// Aggregated workspace-pool counters (zero until the first execute).
   [[nodiscard]] WorkspacePoolStats pool_stats() const {
-    return pool_stats_ ? pool_stats_() : WorkspacePoolStats{};
+    return pool_ ? pool_->stats() : WorkspacePoolStats{};
   }
 
   /// Driver-buffer growth count: flat across executes once warmed up.
@@ -969,9 +1080,7 @@ class Executor {
     plan_ = Plan<I>{};
     config_ = Config{};
     run_ = nullptr;
-    pool_stats_ = nullptr;
     pool_.reset();
-    pool_type_ = nullptr;
     *buffers_ = detail::DriverBuffers<T, I>{};
     planned_ = false;
   }
@@ -1003,126 +1112,28 @@ class Executor {
     return run_(plan_, config_, mask, a, b, *buffers_, stats);
   }
 
-  /// Resolves the (marker width x accumulator kind) dispatch once, binding
-  /// a runner that carries the workspace pool. The pool survives replans
-  /// that keep the same accumulator type.
-  void bind_dispatch() {
-    switch (config_.marker_width) {
-      case MarkerWidth::k8:
-        bind_accumulator<std::uint8_t>();
-        return;
-      case MarkerWidth::k16:
-        bind_accumulator<std::uint16_t>();
-        return;
-      case MarkerWidth::k32:
-        bind_accumulator<std::uint32_t>();
-        return;
-      case MarkerWidth::k64:
-        bind_accumulator<std::uint64_t>();
-        return;
-    }
-    require(false, "Executor::plan: invalid marker width");
-  }
-
-  template <class Marker>
-  void bind_accumulator() {
-    if (plan_.is_blocked()) {
-      // Blocked driver: the workspace pairs a block-width dense accumulator
-      // with the configured sparse-tile accumulator; Config::accumulator
-      // picks the latter.
-      switch (config_.accumulator) {
-        case AccumulatorKind::kDense:
-          bind_blocked_runner<Marker, DenseAccumulator<SR, I, Marker>>();
-          return;
-        case AccumulatorKind::kBitmap:
-          bind_blocked_runner<Marker, BitmapAccumulator<SR, I>>();
-          return;
-        case AccumulatorKind::kHash:
-          bind_blocked_runner<Marker, HashAccumulator<SR, I, Marker>>();
-          return;
-      }
-      require(false, "Executor::plan: invalid accumulator kind");
-    }
-    switch (config_.accumulator) {
-      case AccumulatorKind::kDense:
-        bind_runner<DenseAccumulator<SR, I, Marker>>(
-            [](const Plan<I>& p, const Config& c) {
-              return DenseAccumulator<SR, I, Marker>(p.cols, c.reset);
-            },
-            [](const Plan<I>& p) {
-              return static_cast<std::uint64_t>(p.cols);
-            });
-        return;
-      case AccumulatorKind::kBitmap:
-        // 1-bit flags: the marker width and reset policy are fixed by the
-        // representation (explicit reset only).
-        bind_runner<BitmapAccumulator<SR, I>>(
-            [](const Plan<I>& p, const Config&) {
-              return BitmapAccumulator<SR, I>(p.cols);
-            },
-            [](const Plan<I>& p) {
-              return static_cast<std::uint64_t>(p.cols);
-            });
-        return;
-      case AccumulatorKind::kHash:
-        bind_runner<HashAccumulator<SR, I, Marker>>(
-            [](const Plan<I>& p, const Config& c) {
-              return HashAccumulator<SR, I, Marker>(p.accumulator_bound,
-                                                    c.reset);
-            },
-            [](const Plan<I>& p) {
-              return static_cast<std::uint64_t>(p.accumulator_bound);
-            });
-        return;
-    }
-    require(false, "Executor::plan: invalid accumulator kind");
-  }
-
-  /// Binds the blocked driver's per-thread workspace: block-width dense +
-  /// `SparseAcc` for sparse tiles, pooled under the lexicographic
-  /// (block width, sparse bound) capability.
-  template <class Marker, class SparseAcc>
-  void bind_blocked_runner() {
-    using Ws = BlockedWorkspace<SR, I, Marker, SparseAcc>;
-    bind_runner<Ws>(
-        [](const Plan<I>& p, const Config& c) {
-          return Ws(p.blocked->block_width, p.accumulator_bound, c.reset);
-        },
-        [](const Plan<I>& p) {
-          return Ws::capability(p.blocked->block_width, p.accumulator_bound);
-        });
-  }
-
-  /// `factory(plan, config)` builds one accumulator; `capability(plan)` is
-  /// the pool rebuild key. Both are stateless, so the bound runner stays
-  /// valid across replans — only the pool's concrete type matters.
-  template <class Acc, class Factory, class Capability>
-  void bind_runner(Factory factory, Capability capability) {
-    std::shared_ptr<WorkspacePool<Acc>> pool;
-    if (pool_type_ != nullptr && *pool_type_ == typeid(Acc)) {
-      pool = std::static_pointer_cast<WorkspacePool<Acc>>(pool_);
-    } else {
+  /// Binds the runner for workspace type `Acc`, reusing the pool when a
+  /// replan keeps the same type.
+  template <class Acc>
+  void bind_runner(std::type_identity<Acc>) {
+    auto pool = std::dynamic_pointer_cast<WorkspacePool<Acc>>(pool_);
+    if (pool == nullptr) {
       pool = std::make_shared<WorkspacePool<Acc>>();
       pool_ = pool;
-      pool_type_ = &typeid(Acc);
     }
-    pool_stats_ = [pool] { return pool->stats(); };
-    run_ = [pool, factory, capability](
-               const Plan<I>& plan, const Config& config,
-               const Csr<T, I>& mask, const Csr<T, I>& a, const Csr<T, I>& b,
-               detail::DriverBuffers<T, I>& buffers, ExecutionStats* stats) {
-      return detail::planned_execute<SR>(
-          plan, config, mask, a, b, *pool, capability(plan),
-          [&] { return factory(plan, config); }, buffers, stats);
+    run_ = [pool](const Plan<I>& plan, const Config& config,
+                  const Csr<T, I>& mask, const Csr<T, I>& a,
+                  const Csr<T, I>& b, detail::DriverBuffers<T, I>& buffers,
+                  ExecutionStats* stats) {
+      return detail::planned_execute<SR>(plan, config, mask, a, b, *pool,
+                                         buffers, stats);
     };
   }
 
   Plan<I> plan_{};
   Config config_{};
   Runner run_;
-  std::function<WorkspacePoolStats()> pool_stats_;
-  std::shared_ptr<void> pool_;
-  const std::type_info* pool_type_ = nullptr;
+  std::shared_ptr<WorkspacePoolBase> pool_;
   std::shared_ptr<detail::DriverBuffers<T, I>> buffers_ =
       std::make_shared<detail::DriverBuffers<T, I>>();
   bool planned_ = false;

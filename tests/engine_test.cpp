@@ -91,12 +91,34 @@ TEST_F(EngineTest, BitIdenticalToSingleCallPathAcrossConfigs) {
     blocked.accumulator = acc;
     configs.push_back(blocked);
   }
+  // The other marker widths through the shared workspace dispatch, on the
+  // marker-typed accumulators, in the 1D and blocked spaces.
+  for (const MarkerWidth width :
+       {MarkerWidth::k8, MarkerWidth::k16, MarkerWidth::k64}) {
+    for (const AccumulatorKind acc :
+         {AccumulatorKind::kHash, AccumulatorKind::kDense}) {
+      for (const Strategy mode : {Strategy::k1D, Strategy::kBlocked}) {
+        Config config;
+        config.marker_width = width;
+        config.accumulator = acc;
+        config.mode = mode;
+        config.block_cols = 9;
+        configs.push_back(config);
+      }
+    }
+  }
+  // The engine and the single-call path bind through one dispatch, so the
+  // dense reference oracle is the independent check on both.
+  const Csr<double, I> reference =
+      test::reference_masked_spgemm<SR>(p.mask, p.a, p.b);
   Engine<SR> engine;
   for (const Config& config : configs) {
     const Csr<double, I> oracle = masked_spgemm<SR>(p.mask, p.a, p.b, config);
     auto handle = engine.submit(p.mask, p.a, p.b, config);
     const Csr<double, I> got = handle.get();
     EXPECT_TRUE(test::csr_equal(oracle, got))
+        << "config: " << config.describe();
+    EXPECT_TRUE(test::csr_equal(reference, got))
         << "config: " << config.describe();
   }
   const EngineStats stats = engine.stats();
@@ -981,6 +1003,26 @@ TEST_F(EngineRetryTest, MemoryBudgetBrownoutDegradesPlansInsteadOfFailing) {
   EXPECT_GT(stats.memory_high_water_bytes, stats.memory_budget_bytes);
   EXPECT_EQ(stats.memory_budget_bytes, 1024u);
   EXPECT_EQ(stats.jobs_failed, 0u);
+}
+
+// A blocked workspace's pool key packs (block width, segment bound) and
+// is not a size; the governor charges the workspace's slots instead, so a
+// small blocked job stays far under a generous budget.
+TEST_F(EngineRetryTest, BlockedJobChargesWorkspaceSlotsNotThePoolKey) {
+  const Problem p = make_problem(103, 200, 200, 200, 0.05);
+  Config config;
+  config.mode = Strategy::kBlocked;
+  EngineOptions options;
+  options.threads = 2;
+  options.memory_budget_bytes = std::uint64_t{1} << 30;
+  Engine<SR> engine(options);
+  EXPECT_TRUE(test::csr_equal(
+      test::reference_masked_spgemm<SR>(p.mask, p.a, p.b),
+      engine.submit(p.mask, p.a, p.b, config).get()));
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.health, EngineHealth::kHealthy);
+  EXPECT_EQ(stats.brownouts, 0u);
+  EXPECT_LT(stats.memory_high_water_bytes, std::uint64_t{1} << 20);
 }
 
 TEST_F(EngineRetryTest, UnlimitedBudgetStillTracksUsage) {
