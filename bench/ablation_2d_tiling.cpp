@@ -1,11 +1,12 @@
 // Ablation: column-tiled execution vs the paper's 1D row tiling — the
 // experiment §V-A defers to future work.
 //
-// Default mode sweeps the 2D column tile count at a fixed row tiling
-// (FLOP-balanced, dynamic, intermediate count) on every graph. Column
-// tiling shrinks the per-task B working set at the price of re-reading A
-// rows once per column tile; expect it to help only when the B panel no
-// longer fits in cache, and to hurt on the small analogues.
+// Default mode sweeps the column-block count of the blocked execution
+// space at a fixed row tiling (FLOP-balanced, dynamic, intermediate count)
+// on every graph: n blocks is block_cols = ceil(cols / n), one-shot
+// masked_spgemm per call, so each time includes the plan. Column blocking
+// shrinks the per-task B working set at the price of re-reading A rows
+// once per block and of slicing B and the mask per block at plan time.
 //
 // --blocked mode is the CI gate for the cache-blocked plan stage: on the
 // circuit and web analogues (the kinds with dense-row structure the blocked
@@ -121,28 +122,29 @@ int run_blocked_gate(double scale, double min_speedup) {
 }
 
 int run_sweep(double scale) {
-  tilq::bench::print_header("Ablation: 2D column tiling", scale);
+  tilq::bench::print_header("Ablation: column blocks (blocked space)", scale);
   tilq::bench::GraphCache cache(scale);
   const int threads = tilq::bench::bench_threads();
   auto timing = tilq::bench::bench_timing();
   timing.max_iterations = 6;
 
-  const std::int64_t col_tile_counts[] = {1, 2, 4, 8, 16, 64};
+  // 64 is kMaxColumnBlocks, the most blocks a plan may hold.
+  const std::int64_t block_counts[] = {1, 2, 4, 8, 16, 64};
 
   std::printf("%-16s |", "graph");
-  for (const std::int64_t ct : col_tile_counts) {
-    std::printf(" %7s%lld", "ct=", static_cast<long long>(ct));
+  for (const std::int64_t nb : block_counts) {
+    std::printf(" %7s%lld", "nb=", static_cast<long long>(nb));
   }
-  std::printf("   (ms per column-tile count)\n");
+  std::printf("   (ms per column-block count)\n");
 
   for (const std::string& name : tilq::collection_names()) {
     const tilq::GraphMatrix& a = cache.get(name);
     std::printf("%-16s |", name.c_str());
-    std::string csv = "CSV,ablation2d," + name;
-    for (const std::int64_t ct : col_tile_counts) {
+    std::string csv = "CSV,ablation_blocks," + name;
+    for (const std::int64_t nb : block_counts) {
       tilq::Config config = base_config(a, threads);
-      config.mode = tilq::Strategy::k2D;
-      config.num_col_tiles = ct;
+      config.mode = tilq::Strategy::kBlocked;
+      config.block_cols = tilq::ceil_div(static_cast<std::int64_t>(a.cols()), nb);
       const tilq::TimingResult result = tilq::bench::measure_with_metrics(
           [&] { (void)tilq::masked_spgemm<SR>(a, a, a, config); }, timing,
           name, config.describe());

@@ -6,7 +6,7 @@
 //            --tiles 1024        (one line; wrapped here for readability)
 //   tilq_cli --mtx my_matrix.mtx --predict      # model-chosen config
 //   tilq_cli --graph circuit5M --tune           # staged Fig-12 tuning
-//   tilq_cli --graph GAP-road --col-tiles 8     # 2D tiling
+//   tilq_cli --graph GAP-road --mode blocked --block-cols 512
 //
 // Run with --help for the full flag list. With no arguments it runs a
 // small self-demo.
@@ -16,9 +16,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "tilq/tilq.hpp"
@@ -63,9 +65,9 @@ void print_usage() {
       "  --acc dense|hash|bitmap        (default hash)\n"
       "  --marker 8|16|32|64            (default 32)\n"
       "  --reset marker|explicit        (default marker)\n"
-      "  --col-tiles N    2D column tiling; N > 1 selects --mode 2d (default 1)\n"
-      "  --mode 1d|2d|blocked           execution space (default 1d)\n"
-      "  --block-cols N   blocked mode: columns per cache block (default 4096)\n"
+      "  --mode 1d|blocked              execution space (default 1d)\n"
+      "  --block-cols N   blocked mode: columns per block; n column tiles\n"
+      "                   over C columns is ceil(C / n) (default 4096)\n"
       "  --threads N\n"
       "modes:\n"
       "  --predict        use the model-based config predictor\n"
@@ -93,6 +95,27 @@ void print_usage() {
       "                      the query stream finishes (for scraping)\n");
 }
 
+/// Sets `out` to the choice named `value`. An unknown value prints the
+/// accepted names and returns false, so a typo fails the run instead of
+/// silently running the default.
+template <class T>
+bool parse_choice(const std::string& flag, const std::string& value,
+                  std::initializer_list<std::pair<const char*, T>> choices,
+                  T& out) {
+  std::string accepted;
+  for (const auto& [name, choice] : choices) {
+    if (value == name) {
+      out = choice;
+      return true;
+    }
+    accepted += accepted.empty() ? "" : "|";
+    accepted += name;
+  }
+  std::fprintf(stderr, "bad %s %s (want %s)\n", flag.c_str(), value.c_str(),
+               accepted.c_str());
+  return false;
+}
+
 std::optional<CliOptions> parse(int argc, char** argv) {
   CliOptions options;
   for (int i = 1; i < argc; ++i) {
@@ -114,62 +137,63 @@ std::optional<CliOptions> parse(int argc, char** argv) {
     } else if (flag == "--scale") {
       options.scale = std::atof(next());
     } else if (flag == "--tiling") {
-      const std::string v = next();
-      options.config.tiling =
-          v == "uniform" ? tilq::Tiling::kUniform : tilq::Tiling::kFlopBalanced;
+      if (!parse_choice(flag, next(),
+                        {{"uniform", tilq::Tiling::kUniform},
+                         {"balanced", tilq::Tiling::kFlopBalanced}},
+                        options.config.tiling)) {
+        return std::nullopt;
+      }
     } else if (flag == "--sched") {
-      const std::string v = next();
-      options.config.schedule =
-          v == "static" ? tilq::Schedule::kStatic : tilq::Schedule::kDynamic;
+      if (!parse_choice(flag, next(),
+                        {{"static", tilq::Schedule::kStatic},
+                         {"dynamic", tilq::Schedule::kDynamic}},
+                        options.config.schedule)) {
+        return std::nullopt;
+      }
     } else if (flag == "--tiles") {
       options.config.num_tiles = std::atoll(next());
     } else if (flag == "--strategy") {
-      const std::string v = next();
-      if (v == "vanilla") {
-        options.config.strategy = tilq::MaskStrategy::kVanilla;
-      } else if (v == "co-iterate") {
-        options.config.strategy = tilq::MaskStrategy::kCoIterate;
-      } else if (v == "hybrid") {
-        options.config.strategy = tilq::MaskStrategy::kHybrid;
-      } else {
-        options.config.strategy = tilq::MaskStrategy::kMaskFirst;
+      if (!parse_choice(flag, next(),
+                        {{"vanilla", tilq::MaskStrategy::kVanilla},
+                         {"mask-first", tilq::MaskStrategy::kMaskFirst},
+                         {"co-iterate", tilq::MaskStrategy::kCoIterate},
+                         {"hybrid", tilq::MaskStrategy::kHybrid}},
+                        options.config.strategy)) {
+        return std::nullopt;
       }
     } else if (flag == "--kappa") {
       options.config.coiteration_factor = std::atof(next());
     } else if (flag == "--acc") {
-      const std::string v = next();
-      options.config.accumulator = v == "dense"  ? tilq::AccumulatorKind::kDense
-                                   : v == "bitmap" ? tilq::AccumulatorKind::kBitmap
-                                                   : tilq::AccumulatorKind::kHash;
+      if (!parse_choice(flag, next(),
+                        {{"dense", tilq::AccumulatorKind::kDense},
+                         {"hash", tilq::AccumulatorKind::kHash},
+                         {"bitmap", tilq::AccumulatorKind::kBitmap}},
+                        options.config.accumulator)) {
+        return std::nullopt;
+      }
     } else if (flag == "--marker") {
-      switch (std::atoi(next())) {
-        case 8:
-          options.config.marker_width = tilq::MarkerWidth::k8;
-          break;
-        case 16:
-          options.config.marker_width = tilq::MarkerWidth::k16;
-          break;
-        case 64:
-          options.config.marker_width = tilq::MarkerWidth::k64;
-          break;
-        default:
-          options.config.marker_width = tilq::MarkerWidth::k32;
-          break;
+      if (!parse_choice(flag, next(),
+                        {{"8", tilq::MarkerWidth::k8},
+                         {"16", tilq::MarkerWidth::k16},
+                         {"32", tilq::MarkerWidth::k32},
+                         {"64", tilq::MarkerWidth::k64}},
+                        options.config.marker_width)) {
+        return std::nullopt;
       }
     } else if (flag == "--reset") {
-      const std::string v = next();
-      options.config.reset = v == "explicit" ? tilq::ResetPolicy::kExplicit
-                                             : tilq::ResetPolicy::kMarker;
-    } else if (flag == "--col-tiles") {
-      options.config.num_col_tiles = std::atoll(next());
-      if (options.config.num_col_tiles > 1) {
-        options.config.mode = tilq::Strategy::k2D;
+      if (!parse_choice(flag, next(),
+                        {{"marker", tilq::ResetPolicy::kMarker},
+                         {"explicit", tilq::ResetPolicy::kExplicit}},
+                        options.config.reset)) {
+        return std::nullopt;
       }
     } else if (flag == "--mode") {
-      const std::string v = next();
-      options.config.mode = v == "blocked" ? tilq::Strategy::kBlocked
-                            : v == "2d"    ? tilq::Strategy::k2D
-                                           : tilq::Strategy::k1D;
+      if (!parse_choice(flag, next(),
+                        {{"1d", tilq::Strategy::k1D},
+                         {"blocked", tilq::Strategy::kBlocked}},
+                        options.config.mode)) {
+        return std::nullopt;
+      }
     } else if (flag == "--block-cols") {
       options.config.block_cols = std::atoll(next());
     } else if (flag == "--threads") {
@@ -197,17 +221,11 @@ std::optional<CliOptions> parse(int argc, char** argv) {
     } else if (flag == "--jobs") {
       options.jobs = std::atoi(next());
     } else if (flag == "--priority") {
-      const std::string v = next();
-      if (v == "high") {
-        options.priority = tilq::JobPriority::kHigh;
-      } else if (v == "normal") {
-        options.priority = tilq::JobPriority::kNormal;
-      } else if (v == "background") {
-        options.priority = tilq::JobPriority::kBackground;
-      } else {
-        std::fprintf(stderr,
-                     "bad --priority %s (want high|normal|background)\n",
-                     v.c_str());
+      if (!parse_choice(flag, next(),
+                        {{"high", tilq::JobPriority::kHigh},
+                         {"normal", tilq::JobPriority::kNormal},
+                         {"background", tilq::JobPriority::kBackground}},
+                        options.priority)) {
         return std::nullopt;
       }
     } else if (flag == "--deadline-ms") {

@@ -335,8 +335,8 @@ class BlockedWorkspace {
 namespace detail {
 
 /// Trait steering run_tile_task's compile-time dispatch: a
-/// BlockedWorkspace runs the blocked branch, a plain accumulator the
-/// 1D/2D branches.
+/// BlockedWorkspace runs the blocked branch, a plain accumulator the 1D
+/// branch.
 template <class Acc>
 struct is_blocked_workspace : std::false_type {};
 template <Semiring SR, class I, class Marker, class SparseAcc>
@@ -345,9 +345,9 @@ struct is_blocked_workspace<BlockedWorkspace<SR, I, Marker, SparseAcc>>
 template <class Acc>
 inline constexpr bool is_blocked_workspace_v = is_blocked_workspace<Acc>::value;
 
-/// Computes one (row, column-block) cell over the extracted slices — the
-/// blocked counterpart of compute_cell, with every per-cell binary search
-/// over global CSR replaced by O(1) slice lookups. Values are read live
+/// Computes one (row, column-block) cell over the extracted slices: the
+/// mask segment and every B-row segment come from O(1) slice lookups, not
+/// binary searches over the global CSR. Values are read live
 /// from `b` through the slice's entry_begin indirection; emitted columns
 /// are translated back to global (col_base + local). Returns the number
 /// of outputs written at out_cols/out_vals.

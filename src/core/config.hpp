@@ -21,16 +21,13 @@ namespace tilq {
 /// not as another config-type-and-entry-point pair.
 enum class Strategy {
   k1D,       ///< row tiles over the full column range (the reference path)
-  k2D,       ///< row × column tile grid walking global CSR
-  kBlocked,  ///< cache-blocked column slices with per-tile accumulators
+  kBlocked,  ///< row tiles × column blocks over per-block slices
 };
 
 [[nodiscard]] constexpr const char* to_string(Strategy strategy) noexcept {
   switch (strategy) {
     case Strategy::k1D:
       return "1d";
-    case Strategy::k2D:
-      return "2d";
     case Strategy::kBlocked:
       return "blocked";
   }
@@ -47,14 +44,12 @@ struct Config {
 
   // Execution-space strategy (docs/ARCHITECTURE.md).
   /// The only execution-space selector. The vanilla mask strategy is
-  /// rejected for 2D and blocked plans (its unmasked merge phase has no
+  /// rejected for blocked plans (its unmasked merge phase has no
   /// column-restricted formulation that preserves its semantics).
   Strategy mode = Strategy::k1D;
-  /// Column tile count for Strategy::k2D; plan() rejects values > 1 under
-  /// any other mode instead of silently switching the execution space.
-  std::int64_t num_col_tiles = 1;
   /// Column-block width for Strategy::kBlocked; 0 picks the auto width
-  /// (kDefaultBlockCols, clamped to kMaxColumnBlocks blocks).
+  /// (kDefaultBlockCols, clamped to kMaxColumnBlocks blocks). For n column
+  /// tiles over `cols` columns, set ⌈cols / n⌉.
   std::int64_t block_cols = 0;
 
   // Dimension 2: iteration space (§III-B, Fig 14).
@@ -107,19 +102,11 @@ struct Config {
     }
     // Strategy tokens only when the config leaves the 1D default, so 1D
     // bench config strings stay comparable across versions.
-    switch (mode) {
-      case Strategy::k1D:
-        break;
-      case Strategy::k2D:
-        out += " col-tiles=";
-        out += std::to_string(num_col_tiles);
-        break;
-      case Strategy::kBlocked:
-        out += " mode=";
-        out += to_string(Strategy::kBlocked);
-        out += " block-cols=";
-        out += std::to_string(block_cols);
-        break;
+    if (mode == Strategy::kBlocked) {
+      out += " mode=";
+      out += to_string(Strategy::kBlocked);
+      out += " block-cols=";
+      out += std::to_string(block_cols);
     }
     return out;
   }
@@ -133,7 +120,7 @@ struct Config {
 struct ThreadWork {
   int thread = 0;           ///< OpenMP thread number inside the region
   double busy_ms = 0.0;     ///< wall time spent executing tiles
-  std::int64_t tiles = 0;   ///< tiles (1D) or cells (2D) this thread ran
+  std::int64_t tiles = 0;   ///< tile tasks (1D tiles or blocked cells) run
   std::int64_t rows = 0;    ///< row visits this thread performed
 };
 

@@ -870,7 +870,6 @@ class Engine {
   /// finish the attempt, and a retry rewrites Job::task_count.
   void enqueue_attempt(const std::shared_ptr<Job>& job) {
     const Plan<I>& plan = job->entry->plan;
-    // Cells per row tile: column blocks (blocked), column tiles (2D), 1 (1D).
     const auto task_count = static_cast<std::int64_t>(
         plan.row_tiles.size() * plan.cells_per_row_tile());
     job->task_count = task_count;
@@ -949,13 +948,9 @@ class Engine {
   /// after a retry replan swapped the job's plan.
   void ensure_buffers_for(detail::DriverBuffers<T, I>& buffers,
                           const Csr<T, I>& mask, const Plan<I>& plan) {
-    const bool celled = plan.two_dimensional() || plan.is_blocked();
     const std::uint64_t before = buffer_bytes(buffers);
-    buffers.ensure(
-        static_cast<std::size_t>(mask.nnz()),
-        static_cast<std::size_t>(plan.rows),
-        celled ? static_cast<std::size_t>(plan.rows) * plan.cells_per_row_tile()
-               : 0);
+    buffers.ensure(static_cast<std::size_t>(mask.nnz()),
+                   static_cast<std::size_t>(plan.rows), plan.cell_slots());
     const std::uint64_t after = buffer_bytes(buffers);
     if (after > before) {
       governor_.charge(after - before);

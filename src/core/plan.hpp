@@ -77,7 +77,7 @@ class StalePlanError : public StaleError {
 struct PlanInfo {
   std::uint64_t fingerprint = 0;      ///< rowptr/colidx hash of M, A, B
   std::int64_t row_tiles = 0;
-  std::int64_t col_tiles = 1;         ///< 1 on the 1D path
+  std::int64_t col_tiles = 1;         ///< column blocks; 1 on the 1D path
   std::int64_t accumulator_bound = 0; ///< per-row accumulator sizing
   std::int64_t hybrid_decisions = 0;  ///< precomputed per-(i,k) κ picks
   std::int64_t flop_total = 0;        ///< Eq-2 work total Σ_i W[i]
@@ -131,7 +131,7 @@ struct DriverBuffers {
   std::vector<I> bound_cols;
   std::vector<T> bound_vals;
   std::vector<I> row_counts;
-  std::vector<I> cell_counts;  ///< 2D only: rows x col_tiles, row-major
+  std::vector<I> cell_counts;  ///< blocked only: rows x blocks, row-major
   std::uint64_t grows = 0;     ///< how many ensure() calls had to grow
 
   void ensure(std::size_t mask_nnz, std::size_t rows, std::size_t cells) {
@@ -160,7 +160,6 @@ struct Plan {
   I cols = 0;
   std::int64_t mask_nnz = 0;
   std::vector<Tile> row_tiles;
-  std::vector<Tile> col_tiles;  ///< single full-width tile on the 1D path
   /// Eq-2 work total Σ_i (nnz(M[i,:]) + Σ_{A[i,k]≠0} nnz(B[k,:])) — the
   /// cost model's per-query price tag. The batch engine's admission stage
   /// classifies jobs cheap/expensive from it (docs/SERVING.md), so a plan
@@ -171,23 +170,25 @@ struct Plan {
   /// strategy's per-(i,k) κ choice. Empty unless the planned config uses
   /// MaskStrategy::kHybrid on the 1D or blocked path.
   std::vector<std::uint8_t> hybrid_coiterate;
-  /// Whether the plan targets the 2D (row x column tile) driver.
-  bool two_d = false;
   /// Blocked-strategy artifacts (column-block slices, per-tile dense
   /// verdicts); null unless the plan was built with Strategy::kBlocked.
   /// Shared so plan copies (the engine's cache hands plans around) do not
   /// duplicate the slices.
   std::shared_ptr<const BlockedLayout<I>> blocked;
 
-  [[nodiscard]] bool two_dimensional() const noexcept { return two_d; }
   [[nodiscard]] bool is_blocked() const noexcept { return blocked != nullptr; }
-  /// Cells one row tile fans out into: column blocks (blocked), column
-  /// tiles (2D), or 1 (1D). task_count = row_tiles.size() x this.
+  /// Cells one row tile fans out into: its column blocks, or 1 on the 1D
+  /// path. task_count = row_tiles.size() x this.
   [[nodiscard]] std::size_t cells_per_row_tile() const noexcept {
-    if (blocked != nullptr) {
-      return static_cast<std::size_t>(blocked->num_blocks());
-    }
-    return two_d ? std::max<std::size_t>(1, col_tiles.size()) : 1;
+    return blocked != nullptr ? static_cast<std::size_t>(blocked->num_blocks())
+                              : 1;
+  }
+  /// Per-(row, block) output counts the driver buffers hold: rows x blocks
+  /// on a blocked plan, none on the 1D path (its counts are per row).
+  [[nodiscard]] std::size_t cell_slots() const noexcept {
+    return blocked != nullptr
+               ? static_cast<std::size_t>(rows) * cells_per_row_tile()
+               : 0;
   }
 };
 
@@ -245,12 +246,9 @@ template <class T, class I>
   require(a.cols() == b.rows(), "plan: inner dimensions must agree");
   require(mask.rows() == a.rows() && mask.cols() == b.cols(),
           "plan: mask shape must equal output shape");
-  require(config.num_col_tiles <= 1 || config.mode == Strategy::k2D,
-          "plan: num_col_tiles > 1 requires mode = Strategy::k2D");
-  const bool two_d = config.mode == Strategy::k2D;
   const bool blocked = config.mode == Strategy::kBlocked;
-  require(!((two_d || blocked) && config.strategy == MaskStrategy::kVanilla),
-          "plan: the vanilla strategy has no column-tiled (2D/blocked) "
+  require(!(blocked && config.strategy == MaskStrategy::kVanilla),
+          "plan: the vanilla strategy has no column-tiled (blocked) "
           "formulation");
   if (config.validate_inputs) {
     // Structural validation at the plan boundary (Config::validate_inputs,
@@ -262,7 +260,6 @@ template <class T, class I>
   }
 
   Plan<I> plan;
-  plan.two_d = two_d;
   plan.rows = a.rows();
   plan.inner = a.cols();
   plan.cols = b.cols();
@@ -273,8 +270,7 @@ template <class T, class I>
       config.num_tiles > 0 ? config.num_tiles
                            : 2 * static_cast<std::int64_t>(threads);
   {
-    TraceSpan span(blocked ? "spgemmblk.analyze"
-                           : (two_d ? "spgemm2d.analyze" : "spgemm.analyze"));
+    TraceSpan span(blocked ? "spgemmblk.analyze" : "spgemm.analyze");
     if (config.tiling == Tiling::kFlopBalanced || blocked) {
       // The blocked strategy needs the per-row Eq-2 work even under uniform
       // tiling: hub-row splitting reads it.
@@ -301,15 +297,6 @@ template <class T, class I>
       plan.flop_total = plan.mask_nnz + total_flops(a, b);
       plan.row_tiles = make_uniform_tiles(plan.rows, num_tiles);
     }
-    if (two_d) {
-      plan.col_tiles = make_uniform_tiles(
-          b.cols(), std::max<std::int64_t>(1, config.num_col_tiles));
-      if (plan.col_tiles.empty()) {
-        plan.col_tiles.push_back({0, 0});  // zero-column matrix
-      }
-    } else {
-      plan.col_tiles.assign(1, Tile{0, static_cast<std::int64_t>(b.cols())});
-    }
     plan.accumulator_bound =
         detail::accumulator_row_bound(mask, a, b, config.strategy);
     if (blocked) {
@@ -320,19 +307,9 @@ template <class T, class I>
       plan.accumulator_bound = std::max<I>(I{1}, layout->max_seg_entries);
       plan.info.dense_tiles = layout->dense_tiles;
       plan.info.sparse_tiles = layout->sparse_tiles;
-      // Expose the block grid through col_tiles for introspection; the
-      // driver itself walks the layout's slices.
-      plan.col_tiles.clear();
-      for (std::int64_t t = 0; t < layout->num_blocks(); ++t) {
-        plan.col_tiles.push_back(
-            {static_cast<std::int64_t>(
-                 layout->block_begin[static_cast<std::size_t>(t)]),
-             static_cast<std::int64_t>(
-                 layout->block_begin[static_cast<std::size_t>(t) + 1])});
-      }
       plan.blocked = std::move(layout);
     }
-    if (!two_d && !blocked && config.strategy == MaskStrategy::kHybrid) {
+    if (!blocked && config.strategy == MaskStrategy::kHybrid) {
       // 1D only: the blocked driver re-evaluates κ per (cell, k) against
       // SEGMENT sizes, which the full-row precomputation cannot stand for.
       build_hybrid_decisions(plan, mask, a, b, config.coiteration_factor);
@@ -341,7 +318,7 @@ template <class T, class I>
   }
 
   plan.info.row_tiles = static_cast<std::int64_t>(plan.row_tiles.size());
-  plan.info.col_tiles = static_cast<std::int64_t>(plan.col_tiles.size());
+  plan.info.col_tiles = static_cast<std::int64_t>(plan.cells_per_row_tile());
   plan.info.accumulator_bound =
       static_cast<std::int64_t>(plan.accumulator_bound);
   plan.info.hybrid_decisions =
@@ -540,15 +517,13 @@ TileTaskStats run_blocked_tile_task(const Plan<I>& plan, const Config& config,
   return out;
 }
 
-/// One tile task of the numeric phase: task index `task` of `plan`, run
+/// One 1D tile task of the numeric phase: row tile `task` of `plan`, run
 /// against `acc`, writing into `buffers`' mask-bounded slots. This is the
 /// single shared body behind both schedulers — the OpenMP worksharing loop
 /// in planned_execute and the batch engine's pool workers (core/engine.hpp)
 /// call exactly this function, so the two paths stay bit-identical by
 /// construction. `fallback` is the caller's lazily-built dense escalation
-/// target, kept across tasks so a degrading worker builds it only once
-/// (unused by the blocked path, whose workspace carries its own dense
-/// accumulator).
+/// target, kept across tasks so a degrading worker builds it only once.
 template <Semiring SR, class T, class I, class Acc>
 TileTaskStats run_scalar_tile_task(
     const Plan<I>& plan, const Config& config, const Csr<T, I>& mask,
@@ -559,115 +534,56 @@ TileTaskStats run_scalar_tile_task(
   const auto mask_row_ptr = mask.row_ptr();
   const std::span<const std::uint8_t> decisions(plan.hybrid_coiterate);
   TileTaskStats out;
-  if (!plan.two_dimensional()) {
-    const Tile tile = plan.row_tiles[static_cast<std::size_t>(task)];
-    TraceSpan tile_span("tile", task);
-    out.rows += tile.row_end - tile.row_begin;
-    for (I i = static_cast<I>(tile.row_begin);
-         i < static_cast<I>(tile.row_end); ++i) {
-      I* out_cols = buffers.bound_cols.data() +
-                    mask_row_ptr[static_cast<std::size_t>(i)];
-      T* out_vals = buffers.bound_vals.data() +
-                    mask_row_ptr[static_cast<std::size_t>(i)];
-      I count = 0;
-      const auto emit = [&](I col, T value) {
-        out_cols[count] = col;
-        out_vals[count] = value;
-        ++count;
-      };
-      if constexpr (Fallback::available) {
-        try {
-          compute_row_planned<SR>(config.strategy, config.coiteration_factor,
-                                  decisions, mask, a, b, i, acc, emit);
-        } catch (const AccumulatorSaturatedError&) {
-          if (!config.degrade_on_saturation) {
-            throw;
-          }
-          // The kernels emit only while gathering at the end of a row, so a
-          // saturation mid-row has produced no output yet; discard the hash
-          // accumulator's partial epoch and replay the whole row on the
-          // dense fallback. Accumulation and gather order are unchanged
-          // => bit-identical values.
-          acc.abort_row();
-          count = 0;
-          if (!fallback.has_value()) {
-            fallback.emplace(plan.cols, config.reset);
-          }
-          compute_row_planned<SR>(config.strategy, config.coiteration_factor,
-                                  decisions, mask, a, b, i, *fallback, emit);
-          ++out.degrades;
-        }
-      } else {
+  const Tile tile = plan.row_tiles[static_cast<std::size_t>(task)];
+  TraceSpan tile_span("tile", task);
+  out.rows += tile.row_end - tile.row_begin;
+  for (I i = static_cast<I>(tile.row_begin); i < static_cast<I>(tile.row_end);
+       ++i) {
+    I* out_cols =
+        buffers.bound_cols.data() + mask_row_ptr[static_cast<std::size_t>(i)];
+    T* out_vals =
+        buffers.bound_vals.data() + mask_row_ptr[static_cast<std::size_t>(i)];
+    I count = 0;
+    const auto emit = [&](I col, T value) {
+      out_cols[count] = col;
+      out_vals[count] = value;
+      ++count;
+    };
+    if constexpr (Fallback::available) {
+      try {
         compute_row_planned<SR>(config.strategy, config.coiteration_factor,
                                 decisions, mask, a, b, i, acc, emit);
-      }
-      buffers.row_counts[static_cast<std::size_t>(i)] = count;
-    }
-  } else {
-    const std::size_t col_tile_count =
-        std::max<std::size_t>(1, plan.col_tiles.size());
-    const Tile row_tile =
-        plan.row_tiles[static_cast<std::size_t>(task) / col_tile_count];
-    const std::size_t ct = static_cast<std::size_t>(task) % col_tile_count;
-    const Tile col_tile = plan.col_tiles[ct];
-    TraceSpan tile_span("tile2d", task);
-    // In 2D a row is visited once per column tile; each visit counts.
-    out.rows += row_tile.row_end - row_tile.row_begin;
-    for (I i = static_cast<I>(row_tile.row_begin);
-         i < static_cast<I>(row_tile.row_end); ++i) {
-      // The cell writes into the slice of row i's mask-bounded slot that
-      // corresponds to mask columns in [col_begin, col_end).
-      const auto row_mask = mask.row_cols(i);
-      const auto seg_first =
-          std::lower_bound(row_mask.begin(), row_mask.end(),
-                           static_cast<I>(col_tile.row_begin));
-      const auto seg_offset =
-          static_cast<std::size_t>(seg_first - row_mask.begin());
-      const auto slot = static_cast<std::size_t>(
-                            mask_row_ptr[static_cast<std::size_t>(i)]) +
-                        seg_offset;
-      I cell_count = 0;
-      if constexpr (Fallback::available) {
-        try {
-          cell_count = compute_cell<SR>(
-              mask, a, b, i, static_cast<I>(col_tile.row_begin),
-              static_cast<I>(col_tile.row_end), config.strategy,
-              config.coiteration_factor, acc, buffers.bound_cols.data() + slot,
-              buffers.bound_vals.data() + slot);
-        } catch (const AccumulatorSaturatedError&) {
-          if (!config.degrade_on_saturation) {
-            throw;
-          }
-          acc.abort_row();
-          if (!fallback.has_value()) {
-            fallback.emplace(plan.cols, config.reset);
-          }
-          cell_count = compute_cell<SR>(
-              mask, a, b, i, static_cast<I>(col_tile.row_begin),
-              static_cast<I>(col_tile.row_end), config.strategy,
-              config.coiteration_factor, *fallback,
-              buffers.bound_cols.data() + slot,
-              buffers.bound_vals.data() + slot);
-          ++out.degrades;
+      } catch (const AccumulatorSaturatedError&) {
+        if (!config.degrade_on_saturation) {
+          throw;
         }
-      } else {
-        cell_count = compute_cell<SR>(
-            mask, a, b, i, static_cast<I>(col_tile.row_begin),
-            static_cast<I>(col_tile.row_end), config.strategy,
-            config.coiteration_factor, acc, buffers.bound_cols.data() + slot,
-            buffers.bound_vals.data() + slot);
+        // The kernels emit only while gathering at the end of a row, so a
+        // saturation mid-row has produced no output yet; discard the hash
+        // accumulator's partial epoch and replay the whole row on the
+        // dense fallback. Accumulation and gather order are unchanged
+        // => bit-identical values.
+        acc.abort_row();
+        count = 0;
+        if (!fallback.has_value()) {
+          fallback.emplace(plan.cols, config.reset);
+        }
+        compute_row_planned<SR>(config.strategy, config.coiteration_factor,
+                                decisions, mask, a, b, i, *fallback, emit);
+        ++out.degrades;
       }
-      buffers.cell_counts[static_cast<std::size_t>(i) * col_tile_count + ct] =
-          cell_count;
+    } else {
+      compute_row_planned<SR>(config.strategy, config.coiteration_factor,
+                              decisions, mask, a, b, i, acc, emit);
     }
+    buffers.row_counts[static_cast<std::size_t>(i)] = count;
   }
   return out;
 }
 
 /// Compile-time dispatch over the workspace type: a BlockedWorkspace runs
-/// the blocked driver, a plain accumulator the 1D/2D ones. Instantiating
-/// only the matching branch is what lets one worksharing loop (and the
-/// engine's one pool-worker body) serve all three execution spaces.
+/// the blocked driver, a plain accumulator the 1D one. Instantiating only
+/// the matching branch is what lets one worksharing loop (and the engine's
+/// one pool-worker body) serve both execution spaces.
 template <Semiring SR, class T, class I, class Acc>
 TileTaskStats run_tile_task(
     const Plan<I>& plan, const Config& config, const Csr<T, I>& mask,
@@ -703,7 +619,7 @@ Csr<T, I> compact_planned(const Plan<I>& plan, const Csr<T, I>& mask,
       }
     }
   };
-  if (plan.two_dimensional() || plan.is_blocked()) {
+  if (plan.is_blocked()) {
     for_rows([&](I i) {
       I total = 0;
       for (std::size_t ct = 0; ct < col_tile_count; ++ct) {
@@ -736,7 +652,7 @@ Csr<T, I> compact_planned(const Plan<I>& plan, const Csr<T, I>& mask,
         dst += len;
       }
     });
-  } else if (!plan.two_dimensional()) {
+  } else {
     for_rows([&](I i) {
       const auto src = static_cast<std::size_t>(mask_row_ptr[static_cast<std::size_t>(i)]);
       const auto dst = static_cast<std::size_t>(out_row_ptr[static_cast<std::size_t>(i)]);
@@ -744,28 +660,6 @@ Csr<T, I> compact_planned(const Plan<I>& plan, const Csr<T, I>& mask,
       for (std::size_t p = 0; p < len; ++p) {
         out_cols[dst + p] = buffers.bound_cols[src + p];
         out_vals[dst + p] = buffers.bound_vals[src + p];
-      }
-    });
-  } else {
-    // Stitch each row's column-tile segments back together in tile order.
-    for_rows([&](I i) {
-      auto dst = static_cast<std::size_t>(out_row_ptr[static_cast<std::size_t>(i)]);
-      const auto row_mask = mask.row_cols(i);
-      for (std::size_t ct = 0; ct < col_tile_count; ++ct) {
-        const Tile col_tile = plan.col_tiles[ct];
-        const auto seg_first =
-            std::lower_bound(row_mask.begin(), row_mask.end(),
-                             static_cast<I>(col_tile.row_begin));
-        const auto slot = static_cast<std::size_t>(
-                              mask_row_ptr[static_cast<std::size_t>(i)]) +
-                          static_cast<std::size_t>(seg_first - row_mask.begin());
-        const auto len = static_cast<std::size_t>(
-            buffers.cell_counts[static_cast<std::size_t>(i) * col_tile_count + ct]);
-        for (std::size_t p = 0; p < len; ++p) {
-          out_cols[dst + p] = buffers.bound_cols[slot + p];
-          out_vals[dst + p] = buffers.bound_vals[slot + p];
-        }
-        dst += len;
       }
     });
   }
@@ -885,35 +779,27 @@ void dispatch_workspace(const Config& config, bool blocked, Bind&& bind) {
   require(false, "plan: invalid marker width");
 }
 
-/// The numeric phase (compute + compact) against a built plan. Handles the
-/// 1D, 2D, and blocked drivers; trace span names stay those of the original
-/// drivers ("spgemm.*" / "tile" when the plan is 1D, "spgemm2d.*" /
-/// "tile2d" when 2D) so existing trace consumers keep working; the blocked
-/// path adds "spgemmblk.*" / "tileblk". Per-thread workspaces come from
-/// `pool`, built and keyed by WorkspaceTraits<Acc>.
+/// The numeric phase (compute + compact) against a built plan, for the 1D
+/// and the blocked driver. Trace spans are "spgemm.*" / "tile" on the 1D
+/// path and "spgemmblk.*" / "tileblk" on the blocked one. Per-thread
+/// workspaces come from `pool`, built and keyed by WorkspaceTraits<Acc>.
 template <Semiring SR, class T, class I, class Acc>
 Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
                           const Csr<T, I>& mask, const Csr<T, I>& a,
                           const Csr<T, I>& b, WorkspacePool<Acc>& pool,
                           DriverBuffers<T, I>& buffers,
                           ExecutionStats* stats) {
-  const bool two_d = plan.two_dimensional();
   const bool blocked = plan.is_blocked();
   WallTimer phase;
-  const I rows = a.rows();
   const int threads = config.threads > 0 ? config.threads : max_threads();
 
-  const std::size_t col_tile_count = plan.cells_per_row_tile();
   buffers.ensure(static_cast<std::size_t>(mask.nnz()),
-                 static_cast<std::size_t>(rows),
-                 (two_d || blocked)
-                     ? static_cast<std::size_t>(rows) * col_tile_count
-                     : 0);
+                 static_cast<std::size_t>(plan.rows), plan.cell_slots());
   pool.reserve(threads);
 
   set_runtime_schedule(config.schedule);
   const auto task_count = static_cast<std::int64_t>(
-      plan.row_tiles.size() * ((two_d || blocked) ? col_tile_count : 1));
+      plan.row_tiles.size() * plan.cells_per_row_tile());
 
   // Per-thread compute shares, indexed by OpenMP thread number and each
   // written once at region end: the measured load-imbalance signal next to
@@ -928,9 +814,7 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
   ParallelGuard guard;
 
   {
-    TraceSpan compute_span(blocked ? "spgemmblk.compute"
-                                   : (two_d ? "spgemm2d.compute"
-                                            : "spgemm.compute"));
+    TraceSpan compute_span(blocked ? "spgemmblk.compute" : "spgemm.compute");
 
 #pragma omp parallel num_threads(threads)
     {
@@ -1002,9 +886,7 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
 
   // --- compact -----------------------------------------------------------
   phase.reset();
-  TraceSpan compact_span(blocked ? "spgemmblk.compact"
-                                 : (two_d ? "spgemm2d.compact"
-                                          : "spgemm.compact"));
+  TraceSpan compact_span(blocked ? "spgemmblk.compact" : "spgemm.compact");
   Csr<T, I> result = compact_planned(plan, mask, buffers, /*parallel=*/true);
   if (stats != nullptr) {
     stats->compact_ms = phase.milliseconds();
@@ -1024,7 +906,7 @@ template <Semiring SR, class T = typename SR::value_type,
           class I = std::int64_t>
 class Executor {
  public:
-  /// Structure phase. Config::mode selects the 1D, 2D, or blocked driver.
+  /// Structure phase. Config::mode selects the 1D or the blocked driver.
   void plan(const Csr<T, I>& mask, const Csr<T, I>& a, const Csr<T, I>& b,
             const Config& config = {}) {
     static_assert(std::is_same_v<T, typename SR::value_type>,

@@ -45,18 +45,15 @@ TEST_F(AutotuneBanditTest, CandidateArmsStartWithSubmittedAndDeduplicate) {
   ASSERT_FALSE(arms.empty());
   EXPECT_TRUE(arms.front() == submitted);
   bool has_blocked = false;
-  bool has_2d = false;
   bool has_hybrid = false;
   for (std::size_t i = 0; i < arms.size(); ++i) {
     for (std::size_t j = i + 1; j < arms.size(); ++j) {
       EXPECT_FALSE(arms[i] == arms[j]) << "duplicate arms " << i << "," << j;
     }
     has_blocked |= arms[i].mode == Strategy::kBlocked;
-    has_2d |= arms[i].mode == Strategy::k2D;
     has_hybrid |= arms[i].strategy == MaskStrategy::kHybrid;
   }
   EXPECT_TRUE(has_blocked);
-  EXPECT_TRUE(has_2d);
   EXPECT_TRUE(has_hybrid);
 }
 

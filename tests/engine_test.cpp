@@ -1,5 +1,5 @@
 // Batch engine tests: bit-identity with the single-call path across
-// configs (including 2D tiling and degradation), exact plan-cache
+// configs (including narrow column blocks and degradation), exact plan-cache
 // accounting under serial and concurrent submission, backpressure
 // (EngineSaturatedError + jobs_rejected), per-job failure isolation under
 // fault injection, run_batch ordering, JobStats sanity, and the metrics-v3
@@ -77,10 +77,11 @@ TEST_F(EngineTest, BitIdenticalToSingleCallPathAcrossConfigs) {
     }
   }
   {
-    Config two_d;
-    two_d.mode = Strategy::k2D;
-    two_d.num_col_tiles = 3;
-    configs.push_back(two_d);
+    // Three column blocks over the 44 columns, on mask-first hash.
+    Config blocked;
+    blocked.mode = Strategy::kBlocked;
+    blocked.block_cols = 15;
+    configs.push_back(blocked);
   }
   for (const AccumulatorKind acc :
        {AccumulatorKind::kHash, AccumulatorKind::kDense,

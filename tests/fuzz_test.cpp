@@ -74,7 +74,7 @@ TEST_P(FuzzRounds, RandomProblemRandomConfigMatchesOracle) {
   }
 }
 
-TEST_P(FuzzRounds, TwoDeeTilingAgreesWithOneDee) {
+TEST_P(FuzzRounds, BlockedBlockCountAgreesWithOneDee) {
   Xoshiro256 rng(GetParam() * 104729);
   for (int round = 0; round < 6; ++round) {
     const I n = static_cast<I>(8 + rng.uniform_below(80));
@@ -82,16 +82,18 @@ TEST_P(FuzzRounds, TwoDeeTilingAgreesWithOneDee) {
                                                   rng());
     Config config = random_config(rng);
     if (config.strategy == MaskStrategy::kVanilla) {
-      config.strategy = MaskStrategy::kHybrid;  // unsupported in 2D
+      config.strategy = MaskStrategy::kHybrid;  // unsupported when blocked
     }
     Config one_d_config = config;  // same knobs, 1D execution space
-    config.mode = Strategy::k2D;
-    config.num_col_tiles = static_cast<std::int64_t>(1 + rng.uniform_below(20));
+    // 1..20 column blocks: the width ⌈n / blocks⌉ for a random count.
+    const auto blocks = static_cast<std::int64_t>(1 + rng.uniform_below(20));
+    config.mode = Strategy::kBlocked;
+    config.block_cols = ceil_div(static_cast<std::int64_t>(n), blocks);
 
     const auto one_d = masked_spgemm<SR>(a, a, a, one_d_config);
-    const auto two_d = masked_spgemm<SR>(a, a, a, config);
-    ASSERT_TRUE(test::csr_equal(one_d, two_d))
-        << one_d_config.describe() << " col_tiles " << config.num_col_tiles;
+    const auto blocked = masked_spgemm<SR>(a, a, a, config);
+    ASSERT_TRUE(test::csr_equal(one_d, blocked))
+        << one_d_config.describe() << " blocks " << blocks;
   }
 }
 

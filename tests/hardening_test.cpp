@@ -323,20 +323,30 @@ TEST_F(Hardening, SaturationDegradesToDenseBitIdentical) {
   EXPECT_GE(stats.accum_degrades, 1u);
 }
 
-TEST_F(Hardening, DegradationWorksUnder2dTiling) {
-  const auto a = test::random_matrix<double, I>(72, 72, 0.2, 71);
+TEST_F(Hardening, DegradationWorksOnBlockedSparseTiles) {
+  // Below kDenseTileDensity every tile classifies sparse, so the fault
+  // saturates the blocked workspace's hash accumulator and the cell
+  // replays on the workspace's own dense accumulator.
+  const auto mask = test::random_matrix<double, I>(3000, 3000, 0.0015, 61);
+  const auto a = test::random_matrix<double, I>(3000, 3000, 0.0015, 1061);
+  const auto b = test::random_matrix<double, I>(3000, 3000, 0.0015, 2061);
   Config config;
   config.accumulator = AccumulatorKind::kHash;
   config.strategy = MaskStrategy::kMaskFirst;
-  config.mode = Strategy::k2D;
-  config.num_col_tiles = 3;
+  config.mode = Strategy::kBlocked;
+  config.block_cols = 512;
+  config.num_tiles = 8;
   config.threads = 2;
+  Executor<SR> exec;
+  exec.plan(mask, a, b, config);
+  ASSERT_GT(exec.info().sparse_tiles, 0);
   fault::arm(FaultSite::kHashSaturation);
   ExecutionStats stats;
-  Executor<SR> exec;
-  exec.plan(a, a, a, config);
-  const auto c = exec.execute(a, a, a, stats);
-  EXPECT_TRUE(test::csr_equal(test::reference_masked_spgemm<SR>(a, a, a), c));
+  const auto c = exec.execute(mask, a, b, stats);
+  EXPECT_EQ(fault::triggered(FaultSite::kHashSaturation), 1u);
+  EXPECT_GT(c.nnz(), 0);
+  EXPECT_TRUE(
+      test::csr_equal(test::reference_masked_spgemm<SR>(mask, a, b), c));
   EXPECT_TRUE(stats.degraded);
   EXPECT_GE(stats.accum_degrades, 1u);
 }

@@ -328,16 +328,18 @@ TEST_F(MetricsTest, DeltaIsolatesOneMeasuredRegion) {
   EXPECT_EQ(delta.total.flops, expected_mask_first_flops(a, a, a));
 }
 
-TEST_F(MetricsTest, TwoDimensionalDriverCountsCells) {
+TEST_F(MetricsTest, BlockedDriverCountsCells) {
   const auto a = test::random_matrix<double, I>(60, 60, 0.1, 31);
   Config config;
   config.strategy = MaskStrategy::kMaskFirst;
-  config.mode = Strategy::k2D;
-  config.num_col_tiles = 4;
+  config.mode = Strategy::kBlocked;
+  config.block_cols = 15;  // four blocks across the 60 columns
+  config.num_tiles = 4;
   ExecutionStats stats;
   (void)masked_spgemm<SR>(a, a, a, config, stats);
 
   const MetricsSnapshot snapshot = metrics_snapshot();
+  EXPECT_EQ(stats.tiles % 4, 0);
   EXPECT_EQ(snapshot.total.tiles_executed,
             static_cast<std::uint64_t>(stats.tiles));
   EXPECT_GT(snapshot.total.flops, 0u);
@@ -608,19 +610,19 @@ TEST_F(MetricsTest, ExecutionStatsCarryPerThreadWork) {
   EXPECT_GE(stats.imbalance_ratio, 1.0);
   EXPECT_GE(stats.busy_cv, 0.0);
 
-  // The same invariants through the 2D driver: every row is visited once
-  // per column tile.
-  Config config2d = config;
-  config2d.mode = Strategy::k2D;
-  config2d.num_col_tiles = 3;
-  ExecutionStats stats2d;
-  (void)masked_spgemm<SR>(a, a, a, config2d, stats2d);
-  std::int64_t rows2d = 0;
-  for (const ThreadWork& t : stats2d.thread_work) {
-    rows2d += t.rows;
+  // The same invariants through the blocked driver: every row is visited
+  // once per column block.
+  Config blocked = config;
+  blocked.mode = Strategy::kBlocked;
+  blocked.block_cols = 40;  // three blocks across the 120 columns
+  ExecutionStats blocked_stats;
+  (void)masked_spgemm<SR>(a, a, a, blocked, blocked_stats);
+  std::int64_t blocked_rows = 0;
+  for (const ThreadWork& t : blocked_stats.thread_work) {
+    blocked_rows += t.rows;
   }
-  EXPECT_EQ(rows2d, static_cast<std::int64_t>(a.rows()) * 3);
-  EXPECT_GE(stats2d.imbalance_ratio, 1.0);
+  EXPECT_EQ(blocked_rows, static_cast<std::int64_t>(a.rows()) * 3);
+  EXPECT_GE(blocked_stats.imbalance_ratio, 1.0);
 }
 
 TEST_F(MetricsTest, HwDeltaMachineryIsConsistent) {

@@ -294,83 +294,38 @@ TEST(PlanInfo, StatsReportPhasesAndPlanBuildTime) {
 }
 
 // ---------------------------------------------------------------------------
-// 2D plans.
-// ---------------------------------------------------------------------------
-
-TEST(Plan2d, PlannedTwoDimensionalMatchesOracleAndRepeats) {
-  const Problem p = make_problem(37);
-  Config config;
-  config.strategy = MaskStrategy::kMaskFirst;
-  config.mode = Strategy::k2D;
-  config.num_col_tiles = 3;
-  config.num_tiles = 4;
-
-  const auto expected = test::reference_masked_spgemm<SR>(p.mask, p.a, p.b);
-  Executor<SR> exec;
-  exec.plan(p.mask, p.a, p.b, config);
-  EXPECT_TRUE(exec.plan_data().two_dimensional());
-  EXPECT_EQ(exec.info().col_tiles, 3);
-  const auto first = exec.execute(p.mask, p.a, p.b);
-  EXPECT_TRUE(test::csr_equal(expected, first));
-  EXPECT_TRUE(test::csr_equal(first, exec.execute(p.mask, p.a, p.b)));
-}
-
-TEST(Plan2d, VanillaTwoDimensionalIsRejected) {
-  const Problem p = make_problem(41);
-  Config config;
-  config.strategy = MaskStrategy::kVanilla;
-  config.mode = Strategy::k2D;
-  config.num_col_tiles = 2;
-  Executor<SR> exec;
-  EXPECT_THROW(exec.plan(p.mask, p.a, p.b, config), PreconditionError);
-}
-
-TEST(Plan2d, ColumnTilesOutsideTwoDimensionalModeAreRejected) {
-  // Column tiles no longer switch the execution space on their own: only
-  // Config::mode selects it, so the combination is a loud error.
-  const Problem p = make_problem(47);
-  for (const Strategy mode : {Strategy::k1D, Strategy::kBlocked}) {
-    Config config;
-    config.mode = mode;
-    config.num_col_tiles = 3;
-    Executor<SR> exec;
-    EXPECT_THROW(exec.plan(p.mask, p.a, p.b, config), PreconditionError)
-        << to_string(mode);
-    EXPECT_THROW((void)masked_spgemm<SR>(p.mask, p.a, p.b, config),
-                 PreconditionError)
-        << to_string(mode);
-  }
-}
-
-TEST(Plan2d, SingleColumnTileDegeneratesToOneDimensional) {
-  const Problem p = make_problem(43);
-  Config config;
-  config.num_col_tiles = 1;
-  Executor<SR> exec;
-  exec.plan(p.mask, p.a, p.b, config);
-  EXPECT_FALSE(exec.plan_data().two_dimensional());
-  EXPECT_TRUE(test::csr_equal(masked_spgemm<SR>(p.mask, p.a, p.b),
-                              exec.execute(p.mask, p.a, p.b)));
-}
-
-// ---------------------------------------------------------------------------
 // Blocked plans: cache-blocked column tiles with per-tile dense/sparse
 // accumulator specialization (docs/ARCHITECTURE.md, "The blocked plan
 // stage"). The blocked space must be a pure layout change: bit-identical
 // to the 1D reference for every strategy x accumulator x marker width.
 // ---------------------------------------------------------------------------
 
-using BlockedTuple = std::tuple<MaskStrategy, AccumulatorKind, MarkerWidth>;
+/// Inputs of the BlockedExecute grid. kSmall is dense enough that most
+/// tiles classify dense; kSparse (3000 x 3000 at density 0.0015, 512-column
+/// blocks, 8 row tiles) sits below kDenseTileDensity, so every non-empty
+/// cell runs the sparse-tile kernel on the configured accumulator.
+enum class BlockedInput { kSmall, kSparse };
+
+/// Built once: the sparse operands take 27M Bernoulli draws to generate.
+const Problem& sparse_problem() {
+  static const Problem problem = make_problem(61, 3000, 3000, 3000, 0.0015);
+  return problem;
+}
+
+using BlockedTuple =
+    std::tuple<MaskStrategy, AccumulatorKind, MarkerWidth, BlockedInput>;
 
 class BlockedExecute : public ::testing::TestWithParam<BlockedTuple> {};
 
 TEST_P(BlockedExecute, BitIdenticalToOneDimensionalAcrossRepeats) {
+  const bool sparse = std::get<3>(GetParam()) == BlockedInput::kSparse;
   Config config;
   config.strategy = std::get<0>(GetParam());
   config.accumulator = std::get<1>(GetParam());
   config.marker_width = std::get<2>(GetParam());
-  config.num_tiles = 6;
-  const Problem p = make_problem(61);
+  config.num_tiles = sparse ? 8 : 6;
+  const Problem small = make_problem(61);
+  const Problem& p = sparse ? sparse_problem() : small;
 
   const auto one_d = masked_spgemm<SR>(p.mask, p.a, p.b, config);
   EXPECT_TRUE(test::csr_equal(
@@ -378,13 +333,18 @@ TEST_P(BlockedExecute, BitIdenticalToOneDimensionalAcrossRepeats) {
 
   Config blocked = config;
   blocked.mode = Strategy::kBlocked;
-  blocked.block_cols = 7;  // several narrow blocks across the 44 columns
+  // Several blocks either way: 7 columns across 44, or 512 across 3000.
+  blocked.block_cols = sparse ? 512 : 7;
   Executor<SR> exec;
   exec.plan(p.mask, p.a, p.b, blocked);
   EXPECT_TRUE(exec.plan_data().is_blocked());
   EXPECT_GT(exec.plan_data().cells_per_row_tile(), 1);
   const auto first = exec.execute(p.mask, p.a, p.b);
   EXPECT_TRUE(test::csr_equal(one_d, first)) << blocked.describe();
+  if (sparse) {
+    EXPECT_GT(exec.info().sparse_tiles, 0);
+    EXPECT_GT(first.nnz(), 0);
+  }
   // Pooled blocked workspaces (dense segment + sparse accumulator pair)
   // must not perturb a single bit across reuse.
   for (int round = 0; round < 3; ++round) {
@@ -400,13 +360,17 @@ INSTANTIATE_TEST_SUITE_P(
                           MaskStrategy::kHybrid),
         ::testing::Values(AccumulatorKind::kDense, AccumulatorKind::kHash,
                           AccumulatorKind::kBitmap),
-        ::testing::Values(MarkerWidth::k8, MarkerWidth::k64)),
+        ::testing::Values(MarkerWidth::k8, MarkerWidth::k64),
+        ::testing::Values(BlockedInput::kSmall, BlockedInput::kSparse)),
     [](const auto& param_info) {
       std::string name;
       name += to_string(std::get<0>(param_info.param));
       name += '_';
       name += to_string(std::get<1>(param_info.param));
       name += std::to_string(bits(std::get<2>(param_info.param)));
+      if (std::get<3>(param_info.param) == BlockedInput::kSparse) {
+        name += "_sparse";
+      }
       for (auto& ch : name) {
         if (ch == '-') {
           ch = '_';
@@ -422,6 +386,42 @@ TEST(BlockedPlan, VanillaIsRejected) {
   config.mode = Strategy::kBlocked;
   Executor<SR> exec;
   EXPECT_THROW(exec.plan(p.mask, p.a, p.b, config), PreconditionError);
+  EXPECT_THROW((void)masked_spgemm<SR>(p.mask, p.a, p.b, config),
+               PreconditionError);
+}
+
+/// A blocked config with `blocks` column blocks over `cols` columns: the
+/// block width ⌈cols / blocks⌉ is how a caller asks for n column tiles.
+Config blocked_config(I cols, std::int64_t blocks) {
+  Config config;
+  config.mode = Strategy::kBlocked;
+  config.block_cols = ceil_div(static_cast<std::int64_t>(cols), blocks);
+  return config;
+}
+
+TEST(BlockedPlan, ThreeBlocksMatchOracleAndRepeat) {
+  const Problem p = make_problem(37);
+  Config config = blocked_config(p.b.cols(), 3);
+  config.strategy = MaskStrategy::kMaskFirst;
+  config.num_tiles = 4;
+
+  const auto expected = test::reference_masked_spgemm<SR>(p.mask, p.a, p.b);
+  Executor<SR> exec;
+  exec.plan(p.mask, p.a, p.b, config);
+  EXPECT_EQ(exec.info().col_tiles, 3);
+  const auto first = exec.execute(p.mask, p.a, p.b);
+  EXPECT_TRUE(test::csr_equal(expected, first));
+  EXPECT_TRUE(test::csr_equal(first, exec.execute(p.mask, p.a, p.b)));
+}
+
+TEST(BlockedPlan, SingleBlockEqualsOneDimensional) {
+  const Problem p = make_problem(43);
+  const Config config = blocked_config(p.b.cols(), 1);
+  Executor<SR> exec;
+  exec.plan(p.mask, p.a, p.b, config);
+  EXPECT_EQ(exec.info().col_tiles, 1);
+  EXPECT_TRUE(test::csr_equal(masked_spgemm<SR>(p.mask, p.a, p.b),
+                              exec.execute(p.mask, p.a, p.b)));
 }
 
 TEST(BlockedPlan, PlanInfoClassifiesTiles) {
@@ -440,9 +440,7 @@ TEST(BlockedPlan, PlanInfoClassifiesTiles) {
             static_cast<std::int64_t>(plan.row_tiles.size()) *
                 plan.blocked->num_blocks());
   EXPECT_GT(info.dense_tiles + info.sparse_tiles, 0);
-  // col_tiles mirrors the block ranges for introspection.
-  EXPECT_EQ(static_cast<std::int64_t>(plan.col_tiles.size()),
-            plan.blocked->num_blocks());
+  EXPECT_EQ(info.col_tiles, plan.blocked->num_blocks());
   EXPECT_EQ(plan.cells_per_row_tile(), plan.blocked->num_blocks());
 }
 
@@ -564,22 +562,17 @@ TEST(PlanCacheTest, TriangleCountSharedCacheMatchesUncached) {
 }
 
 // ---------------------------------------------------------------------------
-// Unified Config: one struct selects 1D / 2D / blocked execution.
+// Unified Config: one struct selects 1D / blocked execution.
 // ---------------------------------------------------------------------------
 
 TEST(ConfigUnification, StrategySelectionAndDescribe) {
   Config config;
   config.strategy = MaskStrategy::kCoIterate;
   EXPECT_EQ(config.mode, Strategy::k1D);
-  EXPECT_EQ(config.describe().find("col-tiles"), std::string::npos);
-
-  config.mode = Strategy::k2D;
-  config.num_col_tiles = 4;
-  EXPECT_NE(config.describe().find("col-tiles=4"), std::string::npos);
+  EXPECT_EQ(config.describe().find("mode="), std::string::npos);
 
   config.mode = Strategy::kBlocked;
   config.block_cols = 512;
-  EXPECT_EQ(config.describe().find("col-tiles"), std::string::npos);
   EXPECT_NE(config.describe().find("mode=blocked"), std::string::npos);
   EXPECT_NE(config.describe().find("block-cols=512"), std::string::npos);
 

@@ -1,12 +1,14 @@
-// Tests for the 2D-tiled masked-SpGEMM (masked_spgemm under
-// Strategy::k2D): agreement with the dense oracle and with the 1D driver
-// across column tile counts, strategies, and accumulators.
+// Tests for 2D (row tile x column tile) masked SpGEMM. Column tiling runs
+// through Strategy::kBlocked: n column tiles is block_cols = ⌈cols / n⌉.
+// Checks agreement with the dense oracle and with the 1D driver across
+// column tile counts, strategies, accumulators and marker widths.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <tuple>
 
 #include "core/masked_spgemm.hpp"
+#include "core/plan.hpp"
 #include "test_util.hpp"
 
 namespace tilq {
@@ -21,11 +23,12 @@ struct Problem {
   Csr<double, I> b;
 };
 
-/// A 2D config: Config::mode is the only execution-space selector.
-Config two_d_config(std::int64_t col_tiles) {
+/// A blocked config with `col_tiles` column blocks over `cols` columns: the
+/// block width ⌈cols / col_tiles⌉ is how a caller asks for n column tiles.
+Config two_d_config(I cols, std::int64_t col_tiles) {
   Config config;
-  config.mode = Strategy::k2D;
-  config.num_col_tiles = col_tiles;
+  config.mode = Strategy::kBlocked;
+  config.block_cols = ceil_div(static_cast<std::int64_t>(cols), col_tiles);
   return config;
 }
 
@@ -40,17 +43,17 @@ class Spgemm2dColTiles
 };
 
 TEST_P(Spgemm2dColTiles, MatchesOracle) {
-  Config config = two_d_config(std::get<0>(GetParam()));
-  config.strategy = std::get<1>(GetParam());
-  config.accumulator = std::get<2>(GetParam());
-  config.num_tiles = 6;
+  // Column tile counts from one up to more tiles than columns (width 1).
   for (const std::uint64_t seed : {1u, 5u}) {
     const Problem p = make_problem(seed);
+    Config config = two_d_config(p.b.cols(), std::get<0>(GetParam()));
+    config.strategy = std::get<1>(GetParam());
+    config.accumulator = std::get<2>(GetParam());
+    config.num_tiles = 6;
     const auto expected = test::reference_masked_spgemm<SR>(p.mask, p.a, p.b);
     const auto actual = masked_spgemm<SR>(p.mask, p.a, p.b, config);
     EXPECT_TRUE(actual.check());
     EXPECT_TRUE(test::csr_equal(expected, actual))
-        << "col_tiles=" << config.num_col_tiles << " "
         << config.describe() << " seed=" << seed;
   }
 }
@@ -66,7 +69,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Spgemm2d, SingleColumnTileEqualsOneDimensional) {
   const Problem p = make_problem(9);
-  const Config config = two_d_config(1);
+  const Config config = two_d_config(p.b.cols(), 1);
   const auto two_d = masked_spgemm<SR>(p.mask, p.a, p.b, config);
   Config plain = config;
   plain.mode = Strategy::k1D;
@@ -76,7 +79,7 @@ TEST(Spgemm2d, SingleColumnTileEqualsOneDimensional) {
 
 TEST(Spgemm2d, VanillaStrategyIsRejected) {
   const Problem p = make_problem(11);
-  Config config = two_d_config(1);
+  Config config = two_d_config(p.b.cols(), 1);
   config.strategy = MaskStrategy::kVanilla;
   EXPECT_THROW(masked_spgemm<SR>(p.mask, p.a, p.b, config),
                PreconditionError);
@@ -84,17 +87,20 @@ TEST(Spgemm2d, VanillaStrategyIsRejected) {
 
 TEST(Spgemm2d, StatsCountRowByColumnTiles) {
   const Problem p = make_problem(13);
-  Config config = two_d_config(3);
+  Config config = two_d_config(p.b.cols(), 3);
   config.num_tiles = 4;
+  Executor<SR> exec;
+  exec.plan(p.mask, p.a, p.b, config);
   ExecutionStats stats;
-  (void)masked_spgemm<SR>(p.mask, p.a, p.b, config, stats);
-  EXPECT_EQ(stats.tiles, 12);
+  (void)exec.execute(p.mask, p.a, p.b, stats);
+  EXPECT_EQ(exec.info().col_tiles, 3);
+  EXPECT_EQ(stats.tiles, exec.info().row_tiles * 3);
 }
 
 TEST(Spgemm2d, EmptyMask) {
   const Problem p = make_problem(17);
   const Csr<double, I> empty_mask(p.a.rows(), p.b.cols());
-  const Config config = two_d_config(4);
+  const Config config = two_d_config(p.b.cols(), 4);
   const auto c = masked_spgemm<SR>(empty_mask, p.a, p.b, config);
   EXPECT_EQ(c.nnz(), 0);
 }
@@ -103,7 +109,7 @@ TEST(Spgemm2d, SelfMaskedKernelAcrossMarkerWidths) {
   const auto a = test::random_matrix<double, I>(60, 60, 0.1, 21);
   const auto expected = test::reference_masked_spgemm<SR>(a, a, a);
   for (const MarkerWidth width : {MarkerWidth::k8, MarkerWidth::k64}) {
-    Config config = two_d_config(5);
+    Config config = two_d_config(a.cols(), 5);
     config.marker_width = width;
     EXPECT_TRUE(test::csr_equal(expected, masked_spgemm<SR>(a, a, a, config)))
         << bits(width);
@@ -112,7 +118,7 @@ TEST(Spgemm2d, SelfMaskedKernelAcrossMarkerWidths) {
 
 TEST(Spgemm2d, ExplicitResetPolicy) {
   const Problem p = make_problem(23);
-  Config config = two_d_config(4);
+  Config config = two_d_config(p.b.cols(), 4);
   config.reset = ResetPolicy::kExplicit;
   const auto expected = test::reference_masked_spgemm<SR>(p.mask, p.a, p.b);
   EXPECT_TRUE(test::csr_equal(expected,
